@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from ._io import read_json, write_csv, write_json
 from .convergence import (HypothesisViolation, SweepConfig, probe_ring,
                           report_from_json, report_to_csv, report_to_json,
                           run_sweep)
@@ -37,13 +38,8 @@ EXIT_SOLVER = 3
 MAX_CLI_DEGREE = 64
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_measure(path: str) -> MeasureSpec:
-    data = _load_json(path)
+    data = read_json(path)
     validate_measure_dict(data)
     return MeasureSpec.from_dict(data)
 
@@ -54,18 +50,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_measure_validate(args) -> int:
-    data = _load_json(args.file)
+    data = read_json(args.file)
     validate_measure_dict(data)
     spec = MeasureSpec.from_dict(data)
     print(f"ok: {spec.label or spec.kind}")
@@ -82,13 +72,10 @@ def cmd_ortho(args) -> int:
     b = orthonormal_basis(q, args.degree, tol=args.tol)
     out = _out_dir(args)
     basis_to_json(b, out / "basis.json")
-    with open(out / "gammas.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# measure={spec.label or spec.kind} nodes={nodes} "
-                 f"tol={args.tol!r}\n")
-        fh.write("degree,gamma,gamma_root\n")
-        for n, g in enumerate(b.gammas):
-            root = "" if n == 0 else repr(float(g) ** (1.0 / n))
-            fh.write(f"{n},{float(g)!r},{root}\n")
+    rows = ((n, g, None if n == 0 else g ** (1.0 / n))
+            for n, g in enumerate(b.gammas.tolist()))
+    write_csv(out / "gammas.csv", ("degree", "gamma", "gamma_root"), rows,
+              f"measure={spec.label or spec.kind} nodes={nodes} tol={args.tol!r}")
     print(f"basis degree {b.max_degree}, residual {b.residual:.3e}, "
           f"precision {b.precision_used} digits")
     if b.max_degree < args.degree:
@@ -129,7 +116,7 @@ def cmd_dyn(args) -> int:
                          f"degree={args.degree} resolution={args.grid}")
         summary["grid_resolution"] = args.grid
         summary["below_resolution"] = g.below_resolution
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     print(f"degree {args.degree}: capacity {summary['capacity']!r}, "
           f"radius {p.radius!r}")
     return EXIT_OK
@@ -178,50 +165,41 @@ def cmd_eq(args) -> int:
                             n_atoms=args.atoms)
     out = _out_dir(args)
     equilibrium_to_files(e, out / "equilibrium",
-                         f"shape={args.shape or 'mask'} atoms={args.atoms}")
+                         f"shape={args.shape or 'mask'} atoms={e.measure.size}")
     print(f"energy {e.energy!r}, capacity {e.capacity!r}, "
           f"converged {e.converged}")
     return EXIT_OK if e.converged else EXIT_BUDGET
 
 
+# experiment keys under "tolerances" and the SweepConfig fields they set
+_TOLERANCE_FIELDS = {"gamma_root": "tol_gamma", "capacity": "tol_capacity",
+                     "energy": "tol_energy", "weak_convergence": "tol_weak"}
+
+
 def _sweep_config_from(cfg: dict, args) -> SweepConfig:
-    kw = {}
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    elif "seed" in cfg:
-        kw["seed"] = cfg["seed"]
-    if args.samples is not None:
-        kw["n_samples"] = args.samples
-    elif "samples" in cfg:
+    """SweepConfig from a validated experiment dict; flags override the file.
+
+    Keys named like a SweepConfig field are copied as they are; the code
+    below handles only renamed, nested and tuple-valued keys.
+    """
+    names = {f.name for f in dataclasses.fields(SweepConfig)}
+    kw = {key: value for key, value in cfg.items() if key in names}
+    if "samples" in cfg:
         kw["n_samples"] = cfg["samples"]
-    if args.threads is not None:
-        kw["threads"] = args.threads
-    elif "threads" in cfg:
-        kw["threads"] = cfg["threads"]
-    else:
-        kw["threads"] = int(os.environ.get("BROLIN_LAB_THREADS", "1"))
-    simple = {"burn_in": "burn_in", "chains": "chains",
-              "node_count": "node_count", "basis_tol": "basis_tol",
-              "k_max": "k_max", "probe_ring_count": "probe_ring_count",
-              "interior_probes": "interior_probes",
-              "preimage_probe_count": "preimage_probe_count",
-              "hull_resolution": "hull_resolution",
-              "reference_atoms": "reference_atoms"}
-    for key, field in simple.items():
-        if key in cfg:
-            kw[field] = cfg[key]
-    if "probe_ring_factors" in cfg:
-        kw["probe_ring_factors"] = tuple(cfg["probe_ring_factors"])
     if "mass_region" in cfg:
         c = cfg["mass_region"]["center"]
         kw["mass_region"] = (complex(c[0], c[1]), cfg["mass_region"]["radius"])
-    tol_map = {"gamma_root": "tol_gamma", "capacity": "tol_capacity",
-               "energy": "tol_energy", "weak_convergence": "tol_weak"}
-    for key, field in tol_map.items():
+    for key, field in _TOLERANCE_FIELDS.items():
         if key in cfg.get("tolerances", {}):
             kw[field] = cfg["tolerances"][key]
-    if "require" in cfg:
-        kw["require"] = tuple(cfg["require"])
+    for key in ("probe_ring_factors", "require"):
+        if key in cfg:
+            kw[key] = tuple(cfg[key])
+    flags = {"seed": args.seed, "n_samples": args.samples,
+             "threads": args.threads}
+    kw.update({field: v for field, v in flags.items() if v is not None})
+    if "threads" not in kw:
+        kw["threads"] = int(os.environ.get("BROLIN_LAB_THREADS", "1"))
     return SweepConfig(**kw)
 
 
@@ -252,7 +230,7 @@ def _print_verdicts(report, required) -> bool:
 
 
 def cmd_lab(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = read_json(args.config)
     _validate_experiment(cfg)
     spec = MeasureSpec.from_dict(cfg["measure"])
     label = args.label or cfg.get("label")
@@ -329,7 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--endpoints", default="-1,1")
     p.add_argument("--side", type=float, default=2.0)
-    p.add_argument("--atoms", type=int, default=1024)
+    p.add_argument("--atoms", type=int, default=1024,
+                   help="atom count of the circle and interval closed forms; "
+                        "other shapes get one atom per boundary pixel")
     p.add_argument("--resolution", type=int, default=512)
     p.add_argument("--iterations", type=int, default=4000)
     p.add_argument("--tol", type=float, default=2e-3)

@@ -15,11 +15,12 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._io import read_json, write_csv, write_json
 from ._seeds import derive_seed
 from .dynamics import (PolyDyn, brolin_sample, capacity_julia, poly_roots,
                        preimages)
@@ -230,7 +231,6 @@ class SweepConfig:
     chains: int = 64
     node_count: int | None = None
     basis_tol: float = 1e-10
-    k_max: int = 200
     probe_ring_factors: tuple[float, ...] = (1.25, 1.6)
     probe_ring_count: int = 48
     interior_probes: str = "auto"   # "auto" | "on" | "off"
@@ -258,6 +258,24 @@ class SweepConfig:
 
 VERDICT_NAMES = ("gamma_root", "capacity", "energy", "weak_convergence",
                  "containment")
+
+# (ConvergenceReport field, report.csv column) of each per-degree sequence,
+# in column order; report.csv puts the degree itself first.
+PER_DEGREE_FIELDS = (
+    ("gamma_roots", "gamma_root"),
+    ("cap_nth_root", "cap_nth_root"),
+    ("cap_julia", "cap_julia"),
+    ("energies", "energy"),
+    ("sample_energies", "sample_energy"),
+    ("sample_energy_ses", "sample_energy_se"),
+    ("weak_distances", "weak_distance"),
+    ("weak_distance_ses", "weak_distance_se"),
+    ("masses_in_v", "mass_in_v"),
+    ("mass_ses", "mass_se"),
+    ("preimage_counts", "preimage_count"),
+    ("zero_distances", "zero_distance"),
+    ("containment_max", "containment_max"),
+)
 
 
 @dataclass
@@ -298,10 +316,7 @@ class ConvergenceReport:
 
     def __post_init__(self):
         n = len(self.degrees)
-        for name in ("gamma_roots", "cap_nth_root", "cap_julia", "energies",
-                     "sample_energies", "sample_energy_ses", "weak_distances",
-                     "weak_distance_ses", "masses_in_v", "mass_ses",
-                     "preimage_counts", "zero_distances", "containment_max"):
+        for name, _ in PER_DEGREE_FIELDS:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must match the degree index set")
         for m in self.masses_in_v:
@@ -312,66 +327,27 @@ class ConvergenceReport:
                 raise ValueError("cap_julia must equal exp(energies)")
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "degrees": self.degrees,
-            "gamma_roots": self.gamma_roots,
-            "cap_nth_root": self.cap_nth_root,
-            "cap_julia": self.cap_julia,
-            "energies": self.energies,
-            "sample_energies": self.sample_energies,
-            "sample_energy_ses": self.sample_energy_ses,
-            "weak_distances": self.weak_distances,
-            "weak_distance_ses": self.weak_distance_ses,
-            "masses_in_v": self.masses_in_v,
-            "mass_ses": self.mass_ses,
-            "preimage_counts": self.preimage_counts,
-            "zero_distances": self.zero_distances,
-            "containment_max": self.containment_max,
-            "containment_radius": self.containment_radius,
-            "first_containment_violation": self.first_containment_violation,
-            "reference_capacity": self.reference_capacity,
-            "reference_energy": self.reference_energy,
-            "identity_max_dev": self.identity_max_dev,
-            "verdicts": self.verdicts,
-            "failures": {str(k): v for k, v in self.failures.items()},
-            "seed": self.seed,
-            "config": self.config,
-            "config_hash": self.config_hash,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["failures"] = {str(k): v for k, v in self.failures.items()}
+        return out
 
 
 def report_to_json(report: ConvergenceReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 def report_from_json(path: str | Path) -> ConvergenceReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     data["failures"] = {int(k): v for k, v in data.get("failures", {}).items()}
     return ConvergenceReport(**data)
 
 
 def report_to_csv(report: ConvergenceReport, path: str | Path,
                   header_comment: str | None = None) -> None:
-    cols = ["degree", "gamma_root", "cap_nth_root", "cap_julia", "energy",
-            "sample_energy", "sample_energy_se", "weak_distance",
-            "weak_distance_se", "mass_in_v", "mass_se", "preimage_count",
-            "zero_distance", "containment_max"]
-    rows = zip(report.degrees, report.gamma_roots, report.cap_nth_root,
-               report.cap_julia, report.energies, report.sample_energies,
-               report.sample_energy_ses, report.weak_distances,
-               report.weak_distance_ses, report.masses_in_v, report.mass_ses,
-               report.preimage_counts, report.zero_distances,
-               report.containment_max)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+    columns = ["degree"] + [col for _, col in PER_DEGREE_FIELDS]
+    rows = zip(report.degrees,
+               *(getattr(report, name) for name, _ in PER_DEGREE_FIELDS))
+    write_csv(path, columns, rows, header_comment)
 
 
 def config_hash_of(data: dict) -> str:
@@ -513,64 +489,57 @@ def run_sweep(spec: MeasureSpec, degrees=None,
                    config.preimage_probe_count - config.preimage_probe_count // 2),
     ])
 
-    def blank():
-        return [None] * len(degrees)
-
-    gamma_roots = blank()
-    cap_nth = blank()
-    caps = blank()
-    energies = blank()
-    s_energies, s_energy_ses = blank(), blank()
-    weak, weak_ses = blank(), blank()
-    masses, mass_ses = blank(), blank()
-    pre_counts = blank()
-    zero_dists = blank()
-    cont_max = blank()
+    # one row of per-degree values per degree; a failed stage leaves None
+    rows = [dict.fromkeys(name for name, _ in PER_DEGREE_FIELDS)
+            for _ in degrees]
     identity_dev = 0.0
 
-    for i, n in enumerate(degrees):
+    for row, n in zip(rows, degrees):
         if n not in results:
             continue
         p, omega = results[n]
         g = basis.gammas[n]
-        gamma_roots[i] = float(g ** (1.0 / n))
-        cap_nth[i] = float(g ** (-1.0 / n))
-        caps[i] = capacity_julia(p)
-        energies[i] = math.log(caps[i])
+        row["gamma_roots"] = float(g ** (1.0 / n))
+        row["cap_nth_root"] = float(g ** (-1.0 / n))
+        cap = row["cap_julia"] = capacity_julia(p)
+        row["energies"] = math.log(cap)
         identity_dev = max(identity_dev,
-                           abs(caps[i] - abs(p.gamma) ** (-1.0 / (n - 1))))
+                           abs(cap - abs(p.gamma) ** (-1.0 / (n - 1))))
         try:
-            s_energies[i], s_energy_ses[i] = _sampled_energy(omega)
-            weak[i] = weak_star_distance(omega, ref.measure, probe_points)
-            weak_ses[i] = weak_star_distance_se(omega, probe_points)
+            row["sample_energies"], row["sample_energy_ses"] = _sampled_energy(omega)
+            row["weak_distances"] = weak_star_distance(omega, ref.measure, probe_points)
+            row["weak_distance_ses"] = weak_star_distance_se(omega, probe_points)
             if region is not None:
-                masses[i], mass_ses[i] = mass_escape(omega, region, hull)
-            pre_counts[i] = max(
+                row["masses_in_v"], row["mass_ses"] = mass_escape(omega, region, hull)
+            row["preimage_counts"] = max(
                 preimage_count(p, w, region, probe_bound=r_contain)
                 for w in preimage_targets) if region is not None else None
             zeros = zero_distribution(basis, n, spec)
-            zero_dists[i] = weak_star_distance(zeros, ref.measure, probe_points)
-            cont_max[i] = float(np.abs(omega.points).max())
+            row["zero_distances"] = weak_star_distance(zeros, ref.measure, probe_points)
+            row["containment_max"] = float(np.abs(omega.points).max())
         except Exception as err:
             failures[n] = f"{type(err).__name__}: {err}"
+    seq = {name: [row[name] for row in rows] for name, _ in PER_DEGREE_FIELDS}
 
+    cont_max = seq["containment_max"]
     first_violation = None
     for n, c in zip(degrees, cont_max):
         if c is not None and c > r_contain:
             first_violation = n
             break
 
-    reg = regularity_report(degrees, gamma_roots, caps, s_energies,
-                            s_energy_ses, cap_ref,
+    reg = regularity_report(degrees, seq["gamma_roots"], seq["cap_julia"],
+                            seq["sample_energies"], seq["sample_energy_ses"],
+                            cap_ref,
                             tol_gamma=config.tol_gamma,
                             tol_capacity=config.tol_capacity,
                             tol_energy=config.tol_energy)
-    weak_errors = weak
     verdicts = {
         "gamma_root": reg["gamma_root"],
         "capacity": reg["capacity"],
         "energy": reg["energy"],
-        "weak_convergence": _trend_ok(weak_errors, weak_ses, config.tol_weak),
+        "weak_convergence": _trend_ok(seq["weak_distances"],
+                                      seq["weak_distance_ses"], config.tol_weak),
         "containment": (cont_max[-1] is not None
                         and cont_max[-1] <= r_contain * (1 + 1e-12)),
     }
@@ -581,19 +550,7 @@ def run_sweep(spec: MeasureSpec, degrees=None,
     return ConvergenceReport(
         label=spec.label or spec.kind,
         degrees=degrees,
-        gamma_roots=gamma_roots,
-        cap_nth_root=cap_nth,
-        cap_julia=caps,
-        energies=energies,
-        sample_energies=s_energies,
-        sample_energy_ses=s_energy_ses,
-        weak_distances=weak,
-        weak_distance_ses=weak_ses,
-        masses_in_v=masses,
-        mass_ses=mass_ses,
-        preimage_counts=pre_counts,
-        zero_distances=zero_dists,
-        containment_max=cont_max,
+        **seq,
         containment_radius=r_contain,
         first_containment_violation=first_violation,
         reference_capacity=cap_ref,

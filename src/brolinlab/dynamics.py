@@ -19,6 +19,7 @@ import numpy as np
 from ._seeds import derive_seed
 from .grids import GridField, Rectangle
 from .measures import EmpiricalMeasure
+from .orthopoly import horner
 
 K_MAX_DEFAULT = 200
 GREEN_TOL_DEFAULT = 1e-10
@@ -70,7 +71,7 @@ class PolyDyn:
         r = escape_radius(c)
         p = cls(coeffs=c, radius=r)
         z = r * (1 + 1e-9) * np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-        vals = np.abs(_poly_eval(c, z))
+        vals = np.abs(horner(c, z))
         if np.any(vals < 2 * np.abs(z) * (1 - 1e-12)):
             raise ValueError("escape radius fails its doubling contract")
         return p
@@ -84,17 +85,7 @@ class PolyDyn:
         return complex(self.coeffs[-1])
 
     def __call__(self, z):
-        return _poly_eval(self.coeffs, z)
-
-
-def _poly_eval(coeffs, z):
-    z_arr = np.asarray(z, dtype=complex)
-    out = np.full(z_arr.shape, coeffs[-1], dtype=complex)
-    for k in range(len(coeffs) - 2, -1, -1):
-        out = out * z_arr + coeffs[k]
-    if z_arr.ndim == 0:
-        return complex(out)
-    return out
+        return horner(self.coeffs, z)
 
 
 def capacity_julia(p: PolyDyn) -> float:
@@ -125,7 +116,7 @@ def green_value(p: PolyDyn, z: complex, k_max: int = K_MAX_DEFAULT,
     zz = complex(z)
     prev = None
     for k in range(1, k_max + 1):
-        zz = _poly_eval(p.coeffs, zz)
+        zz = horner(p.coeffs, zz)
         az = abs(zz)
         if az > switch:
             return _green_log_tail(p, zz, k, k_max, tail)
@@ -183,7 +174,7 @@ def filled_julia_grid(p: PolyDyn, rect: Rectangle, resolution: int = 512,
     for k in range(1, k_max + 1):
         if active.size == 0:
             break
-        za = _poly_eval(p.coeffs, zz[active])
+        za = horner(p.coeffs, zz[active])
         zz[active] = za
         mag = np.abs(za)
         first = (esc[active] == 0) & (mag > p.radius)
@@ -238,21 +229,13 @@ def functional_equation_residual(p: PolyDyn, points,
     worst = 0.0
     for z in pts:
         g_z = green_value(p, z, k_max=k_max, tol=tol)
-        g_pz = green_value(p, complex(_poly_eval(p.coeffs, z)),
-                           k_max=k_max, tol=tol)
+        g_pz = green_value(p, horner(p.coeffs, z), k_max=k_max, tol=tol)
         worst = max(worst, abs(g_pz - p.degree * g_z))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Simultaneous roots (Aberth iteration with Newton polish)
-
-
-def _eval_batch(coeffs, z):
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for k in range(len(coeffs) - 2, -1, -1):
-        out = out * z + coeffs[k]
-    return out
 
 
 def _aberth_batch(coeffs, targets, max_iter: int = 200):
@@ -277,8 +260,8 @@ def _aberth_batch(coeffs, targets, max_iter: int = 200):
 
     eye = np.eye(d, dtype=bool)
     for _ in range(max_iter):
-        pv = _eval_batch(c, z) - t[:, None]
-        dv = _eval_batch(dc, z)
+        pv = horner(c, z) - t[:, None]
+        dv = horner(dc, z)
         dv = np.where(dv == 0, _EPS, dv)
         newton = pv / dv
         diff = z[:, :, None] - z[:, None, :]
@@ -291,8 +274,8 @@ def _aberth_batch(coeffs, targets, max_iter: int = 200):
         if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
             break
     for _ in range(3):
-        pv = _eval_batch(c, z) - t[:, None]
-        dv = _eval_batch(dc, z)
+        pv = horner(c, z) - t[:, None]
+        dv = horner(dc, z)
         dv = np.where(dv == 0, _EPS, dv)
         z = z - pv / dv
     return z
@@ -301,7 +284,7 @@ def _aberth_batch(coeffs, targets, max_iter: int = 200):
 def _residual_bound(coeffs, roots, targets, tol):
     """tol*(1+|w|) plus the float64 evaluation floor 64 eps sum |c_i||z|^i."""
     mags = np.abs(np.asarray(coeffs, dtype=complex))
-    scale = _eval_batch(mags.astype(complex), np.abs(roots).astype(complex)).real
+    scale = horner(mags, np.abs(roots)).real
     return tol * (1.0 + np.abs(targets)[..., None]) + 64 * _EPS * scale
 
 
@@ -326,7 +309,7 @@ def poly_roots(coeffs, tol: float = ROOT_TOL_DEFAULT) -> np.ndarray:
         else:
             roots.append(_aberth_batch(rest, np.zeros(1))[0])
     out = np.concatenate(roots)
-    res = np.abs(_eval_batch(c, out))
+    res = np.abs(horner(c, out))
     bound = _residual_bound(c, out, np.zeros(1), tol)[0]
     if np.any(res > bound):
         raise RootSolveError(
@@ -344,7 +327,7 @@ def preimages(p: PolyDyn, w: complex, tol: float = ROOT_TOL_DEFAULT) -> np.ndarr
     shifted = p.coeffs.copy()
     shifted[0] -= w
     roots = poly_roots(shifted, tol=tol)
-    res = np.abs(_eval_batch(p.coeffs, roots) - w)
+    res = np.abs(horner(p.coeffs, roots) - w)
     bound = _residual_bound(p.coeffs, roots, np.array([w]), tol)[0]
     if np.any(res > bound):
         raise RootSolveError(
@@ -385,7 +368,7 @@ def brolin_sample(p: PolyDyn, n_samples: int, seed: int,
     rows = np.arange(chains)
     for step in range(burn_in + rounds):
         roots = _aberth_batch(p.coeffs, z)
-        res = np.abs(_eval_batch(p.coeffs, roots) - z[:, None])
+        res = np.abs(horner(p.coeffs, roots) - z[:, None])
         bound = _residual_bound(p.coeffs, roots, z, tol)
         if np.any(res > bound):
             raise RootSolveError(

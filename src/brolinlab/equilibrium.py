@@ -8,7 +8,6 @@ solved by multiplicative weight updates on the outer boundary pixels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from ._io import write_json
 from .grids import (GridSet, Rectangle, rasterize_circle, rasterize_disk,
                     rasterize_segment)
 from .measures import (EmpiricalMeasure, MeasureSpec, NEG_INF,
@@ -119,12 +119,13 @@ def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
                         n_atoms: int = ATOMS_DEFAULT) -> EquilibriumResult:
     """Equilibrium measure of the set described by ``gs``.
 
-    Named circle and interval shapes bypass optimization (uniform atoms on
-    the circle, arcsine atoms on the interval, closed-form energies).  The
-    grid path places atoms on the outer boundary pixels of the filled hull
-    and runs multiplicative updates w_i <- w_i exp(theta (p_i - I_bar)),
-    renormalizing each sweep, until the potential spread over the atoms
-    drops below ``tol``.  Non-convergence within ``iterations`` returns the
+    Named circle and interval shapes bypass optimization (``n_atoms``
+    uniform atoms on the circle, ``n_atoms`` arcsine atoms on the interval,
+    closed-form energies).  The grid path ignores ``n_atoms``: it places one
+    atom on each outer boundary pixel of the filled hull and runs
+    multiplicative updates w_i <- w_i exp(theta (p_i - I_bar)), renormalizing
+    each sweep, until the potential spread over the atoms drops below
+    ``tol``.  Non-convergence within ``iterations`` returns the
     partial result flagged converged=False.
     """
     if gs.shape is not None and gs.shape[0] == "circle":
@@ -348,6 +349,4 @@ def equilibrium_to_files(e: EquilibriumResult, base: str | Path,
         "iterations_run": e.iterations_run,
         "atom_count": int(e.measure.size),
     }
-    with open(base.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(base.with_suffix(".json"), summary)

@@ -7,12 +7,13 @@ array[iy, ix]; row 0 is the ymin edge.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._io import read_json, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,12 @@ def gridset_to_files(gs: GridSet, base: str | Path) -> None:
         "row_order": "ymin-first",
         "shape": _shape_to_json(gs.shape),
     }
-    with open(base.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(base.with_suffix(".json"), header)
 
 
 def gridset_from_files(base: str | Path) -> GridSet:
     base = Path(base)
-    with open(base.with_suffix(".json"), "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = read_json(base.with_suffix(".json"))
     with open(base.with_suffix(".pbm"), "r", encoding="utf-8") as fh:
         magic = fh.readline().strip()
         if magic != "P1":
@@ -259,17 +257,10 @@ def _shape_from_json(data):
 
 def gridfield_to_csv(g: GridField, path: str | Path,
                      header_comment: str | None = None) -> None:
-    z = g.pixel_centers()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("x,y,green,escaped_at\n")
-        for iy in range(g.ny):
-            for ix in range(g.nx):
-                c = z[iy, ix]
-                fh.write(f"{float(c.real)!r},{float(c.imag)!r},"
-                         f"{float(g.values[iy, ix])!r},"
-                         f"{int(g.escaped_at[iy, ix])}\n")
+    z = g.pixel_centers().ravel()
+    rows = zip(z.real.tolist(), z.imag.tolist(), g.values.ravel().tolist(),
+               g.escaped_at.ravel().tolist())
+    write_csv(path, ("x", "y", "green", "escaped_at"), rows, header_comment)
 
 
 def gridfield_to_files(g: GridField, base: str | Path) -> None:
@@ -286,15 +277,12 @@ def gridfield_to_files(g: GridField, base: str | Path) -> None:
         "order": "C",
         "row_order": "ymin-first",
     }
-    with open(base.parent / (base.name + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(base.parent / (base.name + ".json"), header)
 
 
 def gridfield_from_files(base: str | Path) -> GridField:
     base = Path(base)
-    with open(base.parent / (base.name + ".json"), "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = read_json(base.parent / (base.name + ".json"))
     ny, nx = header["ny"], header["nx"]
     values = np.fromfile(base.parent / (base.name + ".green.bin"),
                          dtype=header["dtype_green"]).reshape(ny, nx)

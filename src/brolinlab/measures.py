@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import roots_jacobi
 
+from ._io import read_json, write_csv, write_json
+
 NEG_INF = float("-inf")
 """Reserved sentinel for potentials and energies of measures with atoms
 sitting on the evaluation point (never a NaN)."""
@@ -246,13 +248,10 @@ class MeasureSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MeasureSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _spec_from_dict(data: dict) -> MeasureSpec:
@@ -442,12 +441,8 @@ def quadrature_from_csv(path: str | Path) -> QuadratureMeasure:
 
 
 def _points_to_csv(points, weights, path, header_comment=None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("re,im,weight\n")
-        for z, w in zip(points, weights):
-            fh.write(f"{float(z.real)!r},{float(z.imag)!r},{float(w)!r}\n")
+    rows = zip(points.real.tolist(), points.imag.tolist(), weights.tolist())
+    write_csv(path, ("re", "im", "weight"), rows, header_comment)
 
 
 # ---------------------------------------------------------------------------

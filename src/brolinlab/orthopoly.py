@@ -7,13 +7,17 @@ are carried through the same recurrence, so each basis element is available
 both as node values and as an exact-degree coefficient vector with a real,
 strictly positive leading coefficient.
 
-Working precision escalates through 53, 113, 256, and 1024 bits until the
-orthonormality residual meets the requested tolerance.
+Working precision escalates from float64 to one 113-bit mpmath pass when
+the orthonormality residual misses the tolerance.  It stops there: in a scan
+of 13 measures at degree 24 and five of them at degree 40 (tolerance 1e-10,
+default node counts; interval, circle, mixture and atomic measures), 256 and
+1024 bits never reached a higher degree than 113 bits, which beat float64 by
+1-2 degrees on 7 of the 13.  What limits the degree beyond that is the
+conditioning of the monomial coefficients.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,10 +25,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
+from ._io import read_json, write_json
 from .measures import (EmpiricalMeasure, MeasureSpecError,
                        PrecisionExhaustedError, QuadratureMeasure)
 
-PRECISION_BITS = (53, 113, 256, 1024)
+PRECISION_BITS = (53, 113)
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEGREE = 64
 
@@ -114,7 +119,7 @@ def orthonormal_basis(q: QuadratureMeasure, max_degree: int,
 
 
 def _coeff_gram(coeffs, nodes, weights) -> np.ndarray:
-    vals = np.column_stack([_horner(c, nodes) for c in coeffs])
+    vals = np.column_stack([horner(c, nodes) for c in coeffs])
     return np.asarray(vals.conj().T @ (weights[:, None] * vals))
 
 
@@ -191,18 +196,26 @@ def _arnoldi_mp(nodes, weights, max_degree, bits):
         return [np.array([complex(cj) for cj in vec]) for vec in coeff_vecs]
 
 
+def horner(coeffs, z):
+    """Evaluate the polynomial with ascending ``coeffs`` at ``z`` by Horner's rule.
+
+    Returns a Python complex for scalar ``z`` and a complex array of the
+    shape of ``z`` otherwise.
+    """
+    z_arr = np.asarray(z, dtype=complex)
+    out = np.full(z_arr.shape, coeffs[-1], dtype=complex)
+    for k in range(len(coeffs) - 2, -1, -1):
+        out = out * z_arr + coeffs[k]
+    if z_arr.ndim == 0:
+        return complex(out)
+    return out
+
+
 def evaluate_poly(b: OrthoBasis, n: int, z):
     """Evaluate P_n at point(s) ``z`` by Horner's rule."""
     if not 0 <= n <= b.max_degree:
         raise MeasureSpecError(f"degree {n} outside basis range 0..{b.max_degree}")
-    c = b.coeffs[n]
-    z_arr = np.asarray(z, dtype=complex)
-    out = np.full(z_arr.shape, c[-1], dtype=complex)
-    for k in range(len(c) - 2, -1, -1):
-        out = out * z_arr + c[k]
-    if z_arr.ndim == 0:
-        return complex(out)
-    return out
+    return horner(b.coeffs[n], z)
 
 
 def gamma_root_sequence(b: OrthoBasis) -> np.ndarray:
@@ -240,7 +253,7 @@ def monic_minimality_check(b: OrthoBasis, q: QuadratureMeasure, n: int,
     rng = np.random.default_rng(seed)
     w = q.weights
     monic = b.coeffs[n] / b.gammas[n]
-    pvals = _horner(monic, q.nodes)
+    pvals = horner(monic, q.nodes)
     pnorm2 = float(np.real(np.sum(w * np.abs(pvals) ** 2)))
     min_ratio = math.inf
     for _ in range(trials):
@@ -248,7 +261,7 @@ def monic_minimality_check(b: OrthoBasis, q: QuadratureMeasure, n: int,
             c = rng.standard_normal(n).astype(complex)
         else:
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        qvals = _horner(c, q.nodes)
+        qvals = horner(c, q.nodes)
         qnorm = math.sqrt(float(np.real(np.sum(w * np.abs(qvals) ** 2))))
         if qnorm == 0.0:
             continue
@@ -259,13 +272,6 @@ def monic_minimality_check(b: OrthoBasis, q: QuadratureMeasure, n: int,
         min_ratio = min(min_ratio, ratio)
     return MinimalityReport(min_ratio=min_ratio, passed=min_ratio >= 1 - 1e-10,
                             trials=trials, seed=seed)
-
-
-def _horner(coeffs, z):
-    out = np.full(np.shape(z), coeffs[-1], dtype=complex)
-    for k in range(len(coeffs) - 2, -1, -1):
-        out = out * z + coeffs[k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +288,11 @@ def basis_to_json(b: OrthoBasis, path: str | Path) -> None:
         "coefficients": [[[float(c.real), float(c.imag)] for c in vec]
                          for vec in b.coeffs],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
 
 
 def basis_from_json(path: str | Path) -> OrthoBasis:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     coeffs = [np.array([complex(re, im) for re, im in vec])
               for vec in data["coefficients"]]
     return OrthoBasis(max_degree=data["max_degree"], coeffs=coeffs,

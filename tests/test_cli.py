@@ -1,12 +1,17 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from brolinlab.cli import _sweep_config_from, _validate_experiment
+from brolinlab.convergence import SweepConfig
 from brolinlab.measures import QuadratureMeasure, quadrature_to_csv
 from brolinlab.orthopoly import basis_from_json
 
@@ -194,6 +199,46 @@ def test_lab_rejects_unknown_config_keys(tmp_path):
     res = run_cli("lab", "--config", cfg, "--out", tmp_path / "out")
     assert res.returncode == EXIT_INVALID
     assert "probe_rings" in res.stderr
+
+
+def _schema_example(prop):
+    """A schema-valid value for ``prop`` that differs from every default."""
+    if "enum" in prop:
+        return prop["enum"][-1]
+    kind = prop["type"]
+    if kind == "integer":
+        return prop["minimum"] + 7
+    if kind == "number":
+        return prop.get("exclusiveMinimum", 0.0) + 0.5
+    if kind == "array":
+        return [_schema_example(prop["items"])] * prop.get("minItems", 1)
+    return {k: _schema_example(v) for k, v in prop["properties"].items()}
+
+
+def test_experiment_schema_and_sweep_config_cover_each_other(monkeypatch):
+    monkeypatch.delenv("BROLIN_LAB_THREADS", raising=False)
+    schema = json.loads((resources.files("brolinlab") / "schemas"
+                         / "experiment.schema.json").read_text())
+    no_flags = argparse.Namespace(seed=None, samples=None, threads=None)
+    default = _sweep_config_from({}, no_flags)
+    cases = []
+    for key, prop in schema["properties"].items():
+        if key in ("label", "measure", "degrees"):
+            continue
+        if key == "tolerances":
+            cases += [{key: {sub: _schema_example(p)}}
+                      for sub, p in prop["properties"].items()]
+        else:
+            cases.append({key: _schema_example(prop)})
+    reached = set()
+    for case in cases:
+        _validate_experiment({"measure": CIRCLE, "degrees": [2], **case})
+        config = _sweep_config_from(case, no_flags)
+        changed = {f.name for f in dataclasses.fields(SweepConfig)
+                   if getattr(config, f.name) != getattr(default, f.name)}
+        assert changed, f"config key {case} sets no SweepConfig field"
+        reached |= changed
+    assert reached == {f.name for f in dataclasses.fields(SweepConfig)}
 
 
 def test_lab_fails_on_unattainable_tolerances(tmp_path):

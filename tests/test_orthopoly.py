@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from brolinlab.measures import (MeasureSpec, MeasureSpecError,
+from brolinlab.measures import (Density, MeasureSpec, MeasureSpecError,
                                 QuadratureMeasure, make_quadrature)
 from brolinlab.orthopoly import (DegenerateQuadratureError, OrthoBasis,
                                  basis_from_json, basis_to_json,
                                  evaluate_poly, gamma_root_sequence,
                                  monic_minimality_check, orthonormal_basis,
-                                 _coeff_gram, _ortho_residual)
+                                 _arnoldi_float, _coeff_gram,
+                                 _largest_ok_prefix, _ortho_residual)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,9 +145,22 @@ def test_clustered_nodes_exhaust_the_precision_ladder():
     b = orthonormal_basis(q, 8)
     assert b.precision_exhausted
     assert b.max_degree == 0
-    assert b.precision_used == 308
+    assert b.precision_used == 34
     np.testing.assert_allclose(b.gammas, [1.0])
     assert b.residual == 0.0
+
+
+def test_the_113_bit_pass_reaches_beyond_float64():
+    spec = MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", 2.0, 2.0))
+    q = make_quadrature(spec, 256)
+    float_coeffs = _arnoldi_float(q.nodes, q.weights, 24)
+    gram = _coeff_gram(float_coeffs, q.nodes, q.weights)
+    assert _largest_ok_prefix(gram, 1e-10) == 21
+    b = orthonormal_basis(q, 24, tol=1e-10)
+    assert b.precision_exhausted
+    assert b.max_degree == 23
+    assert b.precision_used == 34
+    assert b.residual <= 1e-10
 
 
 def test_evaluate_poly_vectorizes(legendre_basis):
