@@ -16,18 +16,17 @@ from .equilibrium import (EquilibriumResult, FrostmanReport, equilibrium_measure
                           equilibrium_to_files, filled_hull, frostman_check,
                           green_outer, outer_boundary_mask,
                           reference_equilibrium, support_gridset)
-from .grids import (GridField, GridSet, Rectangle, gridfield_from_files,
-                    gridfield_to_csv, gridfield_to_files, gridset_from_files,
-                    gridset_to_files, rasterize_circle, rasterize_disk,
-                    rasterize_rectangle_outline, rasterize_segment)
+from .grids import (GridField, GridSet, Rectangle, gridfield_to_csv,
+                    gridset_from_files, gridset_to_files, rasterize_circle,
+                    rasterize_disk, rasterize_rectangle_outline,
+                    rasterize_segment)
 from .measures import (Density, EmpiricalMeasure, MeasureSpec,
-                       MeasureSpecError, PotentialReport,
-                       PrecisionExhaustedError, QuadratureMeasure,
-                       capacity_from_energy, default_node_count,
-                       empirical_from_csv, empirical_to_csv, energy,
-                       from_quadrature, gram_matrix, make_quadrature,
-                       measure_schema, potential, potential_report,
-                       quadrature_from_csv, quadrature_to_csv, scaled,
+                       MeasureSpecError, PrecisionExhaustedError,
+                       QuadratureMeasure, capacity_from_energy,
+                       default_node_count, empirical_from_csv,
+                       empirical_to_csv, energy, from_quadrature,
+                       make_quadrature, measure_schema, potential,
+                       quadrature_from_csv, quadrature_to_csv,
                        validate_measure_dict)
 from .orthopoly import (DegenerateQuadratureError, MinimalityReport,
                         OrthoBasis, basis_from_json, basis_to_json,

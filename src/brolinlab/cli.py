@@ -25,10 +25,8 @@ from .grids import (Rectangle, gridfield_to_csv, gridset_from_files,
                     rasterize_circle, rasterize_rectangle_outline,
                     rasterize_segment)
 from .measures import (MeasureSpec, MeasureSpecError, PrecisionExhaustedError,
-                       default_node_count, empirical_to_csv, make_quadrature,
-                       validate_measure_dict)
-from .orthopoly import (DegenerateQuadratureError, basis_to_json,
-                        orthonormal_basis)
+                       default_node_count, empirical_to_csv, make_quadrature)
+from .orthopoly import basis_to_json, orthonormal_basis
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -37,11 +35,31 @@ EXIT_SOLVER = 3
 
 MAX_CLI_DEGREE = 64
 
+# Exit code of each error class, first match wins.  main() maps a raised
+# error through it, cmd_lab the class of a per-degree failure, which
+# run_sweep records as "ClassName: message".
+_EXIT_CODES = (
+    (PrecisionExhaustedError, EXIT_BUDGET),
+    (RootSolveError, EXIT_SOLVER),
+    (HypothesisViolation, EXIT_INVALID),
+    (MeasureSpecError, EXIT_INVALID),
+    (ValueError, EXIT_INVALID),
+    (KeyError, EXIT_INVALID),
+    (OSError, EXIT_INVALID),
+    (RuntimeError, EXIT_SOLVER),
+)
 
-def _load_measure(path: str) -> MeasureSpec:
-    data = read_json(path)
-    validate_measure_dict(data)
-    return MeasureSpec.from_dict(data)
+
+def _exit_code(cls: type) -> int:
+    return next(code for base, code in _EXIT_CODES if issubclass(cls, base))
+
+
+def _failure_exit_code(failure: str) -> int:
+    """Exit code of a per-degree failure; a class the table does not name
+    counts as a solver failure."""
+    name = failure.split(":", 1)[0]
+    return next((code for cls, code in _EXIT_CODES if cls.__name__ == name),
+                EXIT_SOLVER)
 
 
 def _out_dir(args) -> Path:
@@ -55,15 +73,13 @@ def _out_dir(args) -> Path:
 
 
 def cmd_measure_validate(args) -> int:
-    data = read_json(args.file)
-    validate_measure_dict(data)
-    spec = MeasureSpec.from_dict(data)
+    spec = MeasureSpec.from_json(args.file)
     print(f"ok: {spec.label or spec.kind}")
     return EXIT_OK
 
 
 def cmd_ortho(args) -> int:
-    spec = _load_measure(args.measure)
+    spec = MeasureSpec.from_json(args.measure)
     if args.degree > MAX_CLI_DEGREE:
         raise MeasureSpecError(f"degree {args.degree} exceeds the supported "
                                f"maximum of {MAX_CLI_DEGREE}")
@@ -86,7 +102,7 @@ def cmd_ortho(args) -> int:
 
 
 def cmd_dyn(args) -> int:
-    spec = _load_measure(args.measure)
+    spec = MeasureSpec.from_json(args.measure)
     nodes = args.nodes or default_node_count(args.degree)
     q = make_quadrature(spec, nodes)
     b = orthonormal_basis(q, args.degree, tol=args.tol)
@@ -216,7 +232,6 @@ def _validate_experiment(cfg: dict) -> None:
         err = errors[0]
         where = ".".join(str(p) for p in err.path) or "<root>"
         raise MeasureSpecError(f"config key {where!r}: {err.message}")
-    validate_measure_dict(cfg["measure"])
 
 
 def _print_verdicts(report, required) -> bool:
@@ -246,8 +261,7 @@ def cmd_lab(args) -> int:
         print(f"degree {n} failed: {msg}", file=sys.stderr)
     all_ok = _print_verdicts(report, set(config.require))
     if report.failures:
-        text = " ".join(report.failures.values())
-        return EXIT_BUDGET if "PrecisionExhausted" in text else EXIT_SOLVER
+        return _failure_exit_code(report.failures[min(report.failures)])
     return EXIT_OK if all_ok else EXIT_INVALID
 
 
@@ -337,19 +351,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PrecisionExhaustedError as err:
+    except tuple(cls for cls, _ in _EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RootSolveError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (MeasureSpecError, HypothesisViolation, DegenerateQuadratureError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _exit_code(type(err))
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._io import write_json
-from .grids import (GridSet, Rectangle, rasterize_circle, rasterize_disk,
-                    rasterize_segment)
+from .grids import GridSet, Rectangle, rasterize_circle, rasterize_segment
 from .measures import (EmpiricalMeasure, MeasureSpec, NEG_INF,
                        capacity_from_energy, empirical_to_csv, energy,
                        make_quadrature)
@@ -322,18 +321,13 @@ def reference_equilibrium(spec: MeasureSpec, n_atoms: int = 2048,
                           resolution: int = 512) -> EquilibriumResult:
     """Equilibrium measure of the support of ``spec``.
 
-    Circles and intervals use the closed forms (any interval density has the
-    full interval as support, hence the arcsine reference); other kinds go
+    Circles and intervals reach the closed forms through the shape that
+    :func:`support_gridset` records (any interval density has the full
+    interval as support, hence the arcsine reference); other kinds go
     through the grid solver on the rasterized support.
     """
-    if spec.kind == "circle-uniform":
-        return _circle_closed_form(spec.center, spec.radius, n_atoms,
-                                   SPREAD_TOL_DEFAULT)
-    if spec.kind == "interval-density":
-        a, b = spec.endpoints
-        return _interval_closed_form(a, b, n_atoms, SPREAD_TOL_DEFAULT)
-    gs = support_gridset(spec, resolution=resolution)
-    return equilibrium_measure(gs)
+    return equilibrium_measure(support_gridset(spec, resolution=resolution),
+                               n_atoms=n_atoms)
 
 
 def equilibrium_to_files(e: EquilibriumResult, base: str | Path,

@@ -129,9 +129,6 @@ class GridField:
     def pixel_centers(self) -> np.ndarray:
         return self.rect.pixel_centers(self.nx, self.ny)
 
-    def non_escaping_mask(self) -> np.ndarray:
-        return self.escaped_at == 0
-
     @property
     def below_resolution(self) -> bool:
         """True when every pixel escaped (the set is thinner than a pixel)."""
@@ -197,7 +194,7 @@ def rasterize_rectangle_outline(xmin: float, xmax: float, ymin: float,
 
 
 # ---------------------------------------------------------------------------
-# IO: PBM-style mask + JSON header, field CSV + raw binary + JSON header
+# IO: PBM-style mask + JSON header, field CSV
 
 
 def gridset_to_files(gs: GridSet, base: str | Path) -> None:
@@ -261,31 +258,3 @@ def gridfield_to_csv(g: GridField, path: str | Path,
     rows = zip(z.real.tolist(), z.imag.tolist(), g.values.ravel().tolist(),
                g.escaped_at.ravel().tolist())
     write_csv(path, ("x", "y", "green", "escaped_at"), rows, header_comment)
-
-
-def gridfield_to_files(g: GridField, base: str | Path) -> None:
-    """Write <base>.green.bin (float64), <base>.escaped.bin (int32), <base>.json."""
-    base = Path(base)
-    g.values.astype("<f8").tofile(base.parent / (base.name + ".green.bin"))
-    g.escaped_at.astype("<i4").tofile(base.parent / (base.name + ".escaped.bin"))
-    header = {
-        "rectangle": g.rect.to_list(),
-        "ny": g.ny,
-        "nx": g.nx,
-        "dtype_green": "<f8",
-        "dtype_escaped": "<i4",
-        "order": "C",
-        "row_order": "ymin-first",
-    }
-    write_json(base.parent / (base.name + ".json"), header)
-
-
-def gridfield_from_files(base: str | Path) -> GridField:
-    base = Path(base)
-    header = read_json(base.parent / (base.name + ".json"))
-    ny, nx = header["ny"], header["nx"]
-    values = np.fromfile(base.parent / (base.name + ".green.bin"),
-                         dtype=header["dtype_green"]).reshape(ny, nx)
-    escaped = np.fromfile(base.parent / (base.name + ".escaped.bin"),
-                          dtype=header["dtype_escaped"]).reshape(ny, nx)
-    return GridField(Rectangle(*header["rectangle"]), values, escaped)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -206,15 +206,6 @@ class MeasureSpec:
         xmin, xmax, ymin, ymax = self.bounding_box()
         return max(math.hypot(x, y) for x in (xmin, xmax) for y in (ymin, ymax))
 
-    def diameter(self) -> float:
-        xmin, xmax, ymin, ymax = self.bounding_box()
-        return math.hypot(xmax - xmin, ymax - ymin)
-
-    def is_real_supported(self) -> bool:
-        """True when the support lies on the real axis."""
-        _, _, ymin, ymax = self.bounding_box()
-        return ymin == 0.0 and ymax == 0.0
-
     # -- JSON --------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -319,7 +310,6 @@ class QuadratureMeasure:
 
     nodes: np.ndarray
     weights: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=complex)
@@ -359,7 +349,7 @@ def make_quadrature(spec: MeasureSpec, node_count: int) -> QuadratureMeasure:
     if node_count < 1:
         raise MeasureSpecError("node_count must be >= 1")
     nodes, weights = _build_nodes(spec, node_count)
-    q = QuadratureMeasure(nodes, weights, source=spec.label or spec.kind)
+    q = QuadratureMeasure(nodes, weights)
     _check_bbox(spec, q)
     return q
 
@@ -437,7 +427,7 @@ def quadrature_to_csv(q: QuadratureMeasure, path: str | Path,
 
 def quadrature_from_csv(path: str | Path) -> QuadratureMeasure:
     nodes, weights = _read_table(path)
-    return QuadratureMeasure(nodes, weights, source=str(path))
+    return QuadratureMeasure(nodes, weights)
 
 
 def _points_to_csv(points, weights, path, header_comment=None):
@@ -498,53 +488,6 @@ def from_quadrature(q: QuadratureMeasure) -> EmpiricalMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices
-
-
-def gram_matrix(q: QuadratureMeasure, max_degree: int) -> np.ndarray:
-    """Moment matrix G[j][k] = sum_i w_i z_i^j conj(z_i)^k, degrees 0..max_degree.
-
-    Hermitian and positive semidefinite by construction, G[0][0] = 1.  When
-    the matrix is numerically singular at working precision the failure is
-    reported as :class:`PrecisionExhaustedError` carrying the largest degree
-    whose leading principal block is still safely positive definite.
-    """
-    if max_degree < 0:
-        raise MeasureSpecError("max_degree must be >= 0")
-    n = max_degree + 1
-    if q.node_count < n:
-        raise PrecisionExhaustedError(
-            f"only {q.node_count} nodes for degree {max_degree}",
-            largest_safe_degree=max(q.node_count - 1, 0))
-    powers = np.vander(q.nodes, n, increasing=True)  # (m, n)
-    g = (powers * q.weights[:, None]).T @ powers.conj()
-    g = np.asarray(g)
-    safe = _largest_pd_prefix(g)
-    if safe < max_degree:
-        raise PrecisionExhaustedError(
-            f"gram matrix numerically singular beyond degree {safe}",
-            largest_safe_degree=safe)
-    # enforce exact hermitian symmetry lost to roundoff
-    return (g + g.conj().T) / 2
-
-
-def _largest_pd_prefix(g: np.ndarray) -> int:
-    """Largest d with the (d+1)x(d+1) leading block numerically positive definite."""
-    n = g.shape[0]
-    floor = n * np.finfo(float).eps * max(abs(np.diag(g).real).max(), 1.0)
-    chol = np.zeros_like(g)
-    for k in range(n):
-        pivot = g[k, k].real - np.sum(np.abs(chol[k, :k]) ** 2)
-        if pivot <= floor:
-            return k - 1
-        chol[k, k] = math.sqrt(pivot)
-        if k + 1 < n:
-            rhs = g[k + 1:, k] - chol[k + 1:, :k] @ chol[k, :k].conj()
-            chol[k + 1:, k] = rhs / chol[k, k]
-    return n - 1
-
-
-# ---------------------------------------------------------------------------
 # Potential, energy, capacity
 
 
@@ -602,55 +545,3 @@ def energy(m: EmpiricalMeasure) -> float:
 def capacity_from_energy(e: float) -> float:
     """exp(energy); maps NEG_INF to capacity 0."""
     return math.exp(e) if e != NEG_INF else 0.0
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    """Energy, capacity, and potential values at chosen probe points."""
-
-    energy: float
-    capacity: float
-    evaluation_points: tuple[tuple[complex, float], ...]
-
-    def __post_init__(self):
-        if self.energy == NEG_INF:
-            if self.capacity != 0.0:
-                raise MeasureSpecError("polar energy must give capacity 0")
-        elif abs(self.capacity - math.exp(self.energy)) > 1e-12 * max(self.capacity, 1.0):
-            raise MeasureSpecError("capacity must equal exp(energy)")
-
-
-def potential_report(m: EmpiricalMeasure, points,
-                     diameter: float | None = None) -> PotentialReport:
-    """Evaluate energy, capacity, and potentials at ``points``.
-
-    When ``diameter`` (of the support) is known the energy is checked against
-    its log(diameter) upper bound.
-    """
-    e = energy(m)
-    if diameter is not None and e != NEG_INF and e > math.log(diameter) + 1e-9:
-        raise MeasureSpecError("energy exceeds log(diameter) bound")
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    vals = potential(m, pts)
-    pairs = tuple((complex(z), float(v)) for z, v in zip(pts, np.atleast_1d(vals)))
-    return PotentialReport(energy=e, capacity=capacity_from_energy(e),
-                           evaluation_points=pairs)
-
-
-def scaled(spec: MeasureSpec, s: complex) -> MeasureSpec:
-    """Pushforward of ``spec`` under z -> s*z (dilation test helper)."""
-    s = complex(s)
-    if spec.kind == "circle-uniform":
-        return replace(spec, center=spec.center * s, radius=spec.radius * abs(s))
-    if spec.kind == "interval-density":
-        if s.imag != 0:
-            raise MeasureSpecError("interval dilation must stay real")
-        a, b = spec.endpoints
-        a, b = sorted((a * s.real, b * s.real))
-        return replace(spec, endpoints=(a, b))
-    if spec.kind == "atomic-mixture":
-        return replace(spec, atoms=tuple((z * s, w) for z, w in spec.atoms))
-    if spec.kind == "mixture":
-        return replace(spec, components=tuple(
-            (scaled(sub, s), w) for sub, w in spec.components))
-    raise MeasureSpecError(f"cannot scale measure kind {spec.kind!r}")

@@ -19,15 +19,15 @@ conditioning of the monomial coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from ._io import read_json, write_json
-from .measures import (EmpiricalMeasure, MeasureSpecError,
-                       PrecisionExhaustedError, QuadratureMeasure)
+from .measures import (MeasureSpecError, PrecisionExhaustedError,
+                       QuadratureMeasure)
 
 PRECISION_BITS = (53, 113)
 DEFAULT_TOL = 1e-10

@@ -7,7 +7,7 @@ and k >= 3 keeps the Laplacian continuous across the support edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,12 +10,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from brolinlab.cli import _sweep_config_from, _validate_experiment
+from brolinlab.cli import (_failure_exit_code, _sweep_config_from,
+                           _validate_experiment)
 from brolinlab.convergence import SweepConfig
 from brolinlab.measures import QuadratureMeasure, quadrature_to_csv
 from brolinlab.orthopoly import basis_from_json
 
-EXIT_OK, EXIT_INVALID, EXIT_BUDGET = 0, 1, 2
+EXIT_OK, EXIT_INVALID, EXIT_BUDGET, EXIT_SOLVER = 0, 1, 2, 3
 
 
 def run_cli(*args, cwd=None):
@@ -257,3 +258,24 @@ def test_lab_rejects_a_region_touching_the_support(tmp_path):
     res = run_cli("lab", "--config", cfg, "--out", tmp_path / "out")
     assert res.returncode == EXIT_INVALID
     assert "intersects" in res.stderr
+
+
+def test_lab_reports_a_basis_that_stops_short_as_exhausted_precision(tmp_path):
+    lebesgue = {"kind": "interval-density", "endpoints": [-1.0, 1.0],
+                "density": "lebesgue"}
+    cfg = write_json(tmp_path / "config.json",
+                     {**LAB_CONFIG, "measure": lebesgue, "degrees": [2, 24]})
+    res = run_cli("lab", "--config", cfg, "--out", tmp_path / "out")
+    assert res.returncode == EXIT_BUDGET
+    assert "exhausted precision before degree 24" in res.stderr
+
+
+def test_per_degree_failures_exit_by_their_class():
+    assert _failure_exit_code("HypothesisViolation: probe touches") == EXIT_INVALID
+    assert _failure_exit_code("MeasureSpecError: single atom") == EXIT_INVALID
+    assert _failure_exit_code("ValueError: degree 1") == EXIT_INVALID
+    assert _failure_exit_code("RootSolveError: residual 1e-3") == EXIT_SOLVER
+    assert _failure_exit_code("LinAlgError: no convergence") == EXIT_SOLVER
+    # a message naming another class does not decide the code
+    assert _failure_exit_code(
+        "RootSolveError: PrecisionExhaustedError upstream") == EXIT_SOLVER

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from brolinlab.equilibrium import filled_hull, outer_boundary_mask
-from brolinlab.grids import (GridField, GridSet, Rectangle,
-                             gridfield_from_files, gridfield_to_csv,
-                             gridfield_to_files, gridset_from_files,
-                             gridset_to_files, rasterize_circle,
-                             rasterize_disk, rasterize_rectangle_outline,
-                             rasterize_segment)
+from brolinlab.grids import (GridField, GridSet, Rectangle, gridfield_to_csv,
+                             gridset_from_files, gridset_to_files,
+                             rasterize_circle, rasterize_disk,
+                             rasterize_rectangle_outline, rasterize_segment)
 
 RECT = Rectangle(-2.0, 2.0, -2.0, 2.0)
 
@@ -129,19 +127,6 @@ def test_gridset_file_round_trip(tmp_path):
     assert back.rect.to_list() == gs.rect.to_list()
     assert back.shape == gs.shape
     assert back.provenance == gs.provenance
-
-
-def test_gridfield_file_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    values = np.abs(rng.normal(size=(20, 30)))
-    escaped = rng.integers(0, 5, size=(20, 30)).astype(np.int32)
-    values[escaped == 0] = 0.0
-    g = GridField(RECT, values, escaped)
-    gridfield_to_files(g, tmp_path / "field")
-    back = gridfield_from_files(tmp_path / "field")
-    np.testing.assert_array_equal(back.values, g.values)
-    np.testing.assert_array_equal(back.escaped_at, g.escaped_at)
-    assert back.rect.to_list() == g.rect.to_list()
 
 
 def test_gridfield_csv_layout(tmp_path):
