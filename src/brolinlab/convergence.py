@@ -27,6 +27,7 @@ from .dynamics import (PolyDyn, brolin_sample, capacity_julia, poly_roots,
 from .equilibrium import filled_hull, reference_equilibrium, support_gridset
 from .grids import GridField, GridSet, rasterize_disk
 from .measures import (EmpiricalMeasure, MeasureSpec, PrecisionExhaustedError,
+                       _log_distances, _squared_distances, _tiles,
                        default_node_count, energy, make_quadrature, potential)
 from .orthopoly import OrthoBasis, orthonormal_basis
 
@@ -72,10 +73,11 @@ def weak_star_distance_se(m: EmpiricalMeasure, probes: np.ndarray) -> float:
     w = m.weights
     n_eff = 1.0 / float(w @ w)
     worst = 0.0
-    for zeta in probes:
-        logs = np.log(np.abs(zeta - m.points))
-        mean = float(w @ logs)
-        var = float(w @ (logs - mean) ** 2)
+    for _, logs in _tiles(_log_distances, probes, m.points):
+        mean = logs @ w
+        logs -= mean[:, None]
+        np.multiply(logs, logs, out=logs)
+        var = float((logs @ w).max())
         worst = max(worst, math.sqrt(max(var, 0.0) / n_eff))
     return worst
 
@@ -85,10 +87,8 @@ def _check_probes(probes: np.ndarray, atoms: np.ndarray) -> None:
     window = np.abs(probes - c0).max()
     if np.abs(atoms - c0).max() > window * (1 + 1e-9):
         raise HypothesisViolation("support is not enclosed by the probe window")
-    chunk = max(1, int(2_000_000 // max(atoms.size, 1)))
-    for start in range(0, probes.size, chunk):
-        block = probes[start:start + chunk, None]
-        if np.min(np.abs(block - atoms[None, :])) < PROBE_EXCLUSION:
+    for _, d2 in _tiles(_squared_distances, probes, atoms):
+        if d2.min() < PROBE_EXCLUSION ** 2:
             raise HypothesisViolation("a probe point touches a support atom")
 
 

@@ -242,13 +242,18 @@ def _aberth_batch(coeffs, targets, max_iter: int = 200):
     """Roots of P(z) = w for each w in ``targets``; returns (B, d) roots.
 
     Deterministic: fixed initial circle (per-row geometric-mean radius with
-    an asymmetric angular offset), Aberth corrections until the iteration
-    stalls, then three Newton polishing steps.
+    an asymmetric angular offset), Aberth corrections, then three Newton
+    polishing steps.  A root freezes once its residual is at the float64
+    evaluation floor, |P(z) - w| <= 4 eps (sum |c_i||z|^i + |w|) (Bini's
+    stopping rule, Numer. Algorithms 13, 1996): it takes no more steps but
+    still repels the others.  The iteration ends when every root is frozen,
+    when every step is below 1e-15 (1 + |z|), or after ``max_iter`` steps.
     """
     c = np.asarray(coeffs, dtype=complex)
     d = c.size - 1
     t = np.asarray(targets, dtype=complex).ravel()
     dc = c[1:] * np.arange(1, d + 1)
+    mags = np.abs(c)
     lead = abs(c[-1])
 
     const = np.abs(c[0] - t)
@@ -258,20 +263,29 @@ def _aberth_batch(coeffs, targets, max_iter: int = 200):
     angles = 2 * np.pi * (np.arange(d) + 0.375) / d + 0.1
     z = r[:, None] * np.exp(1j * angles)[None, :]
 
-    eye = np.eye(d, dtype=bool)
+    live = np.arange(t.size)  # rows with a root that still moves
+    frozen = np.zeros(z.shape, dtype=bool)  # per root of the live rows
+    buf = np.empty((t.size, d, d), dtype=complex)
     for _ in range(max_iter):
-        pv = horner(c, z) - t[:, None]
-        dv = horner(dc, z)
+        zl, tl = z[live], t[live, None]
+        pv = horner(c, zl) - tl
+        frozen |= np.abs(pv) <= 4 * _EPS * (_magnitude_sum(mags, zl) + np.abs(tl))
+        moving = ~frozen.all(axis=1)
+        if not moving.any():
+            break
+        live, zl, pv, frozen = live[moving], zl[moving], pv[moving], frozen[moving]
+        dv = horner(dc, zl)
         dv = np.where(dv == 0, _EPS, dv)
         newton = pv / dv
-        diff = z[:, :, None] - z[:, None, :]
-        diff[:, eye] = 1.0
-        s = (1.0 / diff).sum(axis=2) - 1.0
+        diff = np.subtract(zl[:, :, None], zl[:, None, :], out=buf[:live.size])
+        diff.reshape(-1, d * d)[:, ::d + 1] = 1.0  # the diagonal, 1/1 taken off below
+        s = np.divide(1.0, diff, out=diff).sum(axis=2) - 1.0
         denom = 1.0 - newton * s
         denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = newton / denom
-        z = z - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+        step = np.where(frozen, 0.0, newton / denom)
+        zl -= step
+        z[live] = zl
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(zl))):
             break
     for _ in range(3):
         pv = horner(c, z) - t[:, None]
@@ -281,10 +295,14 @@ def _aberth_batch(coeffs, targets, max_iter: int = 200):
     return z
 
 
+def _magnitude_sum(mags, z):
+    """sum_i |c_i| |z|^i, the scale of Horner's rounding error at ``z``."""
+    return horner(mags, np.abs(z)).real
+
+
 def _residual_bound(coeffs, roots, targets, tol):
     """tol*(1+|w|) plus the float64 evaluation floor 64 eps sum |c_i||z|^i."""
-    mags = np.abs(np.asarray(coeffs, dtype=complex))
-    scale = horner(mags, np.abs(roots)).real
+    scale = _magnitude_sum(np.abs(np.asarray(coeffs, dtype=complex)), roots)
     return tol * (1.0 + np.abs(targets)[..., None]) + 64 * _EPS * scale
 
 
@@ -366,6 +384,9 @@ def brolin_sample(p: PolyDyn, n_samples: int, seed: int,
     rounds = -(-n_samples // chains)
     samples = np.empty(rounds * chains, dtype=complex)
     rows = np.arange(chains)
+    # one array draw per chain gives the same picks as one scalar draw per step
+    picks = np.stack([rng.integers(0, d, size=burn_in + rounds) for rng in rngs],
+                     axis=1)
     for step in range(burn_in + rounds):
         roots = _aberth_batch(p.coeffs, z)
         res = np.abs(horner(p.coeffs, roots) - z[:, None])
@@ -374,9 +395,7 @@ def brolin_sample(p: PolyDyn, n_samples: int, seed: int,
             raise RootSolveError(
                 f"backward step residual {res.max():.3e} exceeds bound",
                 residuals=res)
-        picks = np.fromiter((rngs[c].integers(0, d) for c in range(chains)),
-                            dtype=np.int64, count=chains)
-        z = roots[rows, picks]
+        z = roots[rows, picks[step]]
         if step >= burn_in:
             base = (step - burn_in) * chains
             samples[base:base + chains] = z

@@ -17,9 +17,9 @@ from scipy import ndimage
 
 from ._io import write_json
 from .grids import GridSet, Rectangle, rasterize_circle, rasterize_segment
-from .measures import (EmpiricalMeasure, MeasureSpec, NEG_INF,
-                       capacity_from_energy, empirical_to_csv, energy,
-                       make_quadrature)
+from .measures import (_TILE, EmpiricalMeasure, MeasureSpec, NEG_INF,
+                       _log_distances, _tiles, capacity_from_energy,
+                       empirical_to_csv, energy, make_quadrature)
 
 THETA_DEFAULT = 0.5
 SPREAD_TOL_DEFAULT = 2e-3
@@ -93,22 +93,23 @@ def _regularized_potential(m: EmpiricalMeasure, pts: np.ndarray) -> np.ndarray:
     flat here; farther than l_i / 2 the exact log kernel applies.
     """
     atoms = m.points
-    diff = np.abs(atoms[:, None] - atoms[None, :])
-    np.fill_diagonal(diff, np.inf)
-    spacing = diff.min(axis=1)
-    half_l = spacing / 2.0
-    self_logs = np.log(spacing / (2.0 * math.e))
+    log_spacing = _log_spacing(atoms)
+    log_half_l = log_spacing - math.log(2.0)
+    self_logs = log_half_l - 1.0
     out = np.empty(pts.size, dtype=float)
-    chunk = max(1, int(4_000_000 // max(atoms.size, 1)))
-    for start in range(0, pts.size, chunk):
-        block = pts[start:start + chunk, None]
-        dist = np.abs(block - atoms[None, :])
-        with np.errstate(divide="ignore"):
-            logs = np.log(dist)
-        hit = dist < half_l[None, :]
-        if hit.any():
-            logs[hit] = np.broadcast_to(self_logs, dist.shape)[hit]
-        out[start:start + chunk] = logs @ m.weights
+    for start, logs in _tiles(_log_distances, pts, atoms):
+        np.copyto(logs, self_logs, where=logs < log_half_l)
+        out[start:start + _TILE] = logs @ m.weights
+    return out
+
+
+def _log_spacing(atoms: np.ndarray) -> np.ndarray:
+    """log of each atom's nearest-neighbor distance."""
+    out = np.empty(atoms.size)
+    for start, logs in _tiles(_log_distances, atoms, atoms):
+        rows = np.arange(logs.shape[0])
+        logs[rows, start + rows] = np.inf
+        out[start:start + _TILE] = logs.min(axis=1)
     return out
 
 
@@ -140,15 +141,16 @@ def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
     nb = atoms.size
     if nb < 2:
         raise ValueError("set boundary is below grid resolution")
-    diff = np.abs(atoms[:, None] - atoms[None, :])
-    np.fill_diagonal(diff, np.inf)
-    spacing = diff.min(axis=1)
-    logd = np.log(diff)
+    logd = np.empty((nb, nb))
+    for start, logs in _tiles(_log_distances, atoms, atoms):
+        logd[start:start + _TILE] = logs
+    np.fill_diagonal(logd, np.inf)
+    log_spacing = logd.min(axis=1)
     # each atom stands for a boundary piece of length ~ its node spacing;
     # the potential a segment of length L exerts on its own midpoint is
     # log(L/(2e)), which regularizes the otherwise -inf self term and keeps
     # the discrete energy an honest stand-in for the continuous one
-    np.fill_diagonal(logd, np.log(spacing / (2.0 * math.e)))
+    np.fill_diagonal(logd, log_spacing - math.log(2.0) - 1.0)
 
     w = np.full(nb, 1.0 / nb)
     converged = False

@@ -28,7 +28,11 @@ WEIGHT_TOL = 1e-12
 BBOX_TOL = 1e-9
 MAX_MIXTURE_DEPTH = 4
 
-_CHUNK = 2048  # row block for pairwise kernels, keeps memory under ~300 MB
+# Pairwise kernels walk 64 rows at a time against every column, in float64
+# buffers of 2 * 64 * columns entries reused across tiles (10 MB at 10^4
+# columns); complex difference blocks would be twice the size and hypot
+# several times slower than squaring.
+_TILE = 64
 
 
 class MeasureSpecError(ValueError):
@@ -491,24 +495,60 @@ def from_quadrature(q: QuadratureMeasure) -> EmpiricalMeasure:
 # Potential, energy, capacity
 
 
+def _squared_distances(z, atoms, out):
+    """|z_i - atoms_j|^2 as a (z.size, atoms.size) view into ``out``.
+
+    ``out`` is a flat float64 buffer of at least 2 * z.size * atoms.size
+    entries; the part past the returned view is scratch.
+    """
+    m, n = z.size, atoms.size
+    d2 = out[:m * n].reshape(m, n)
+    dy = out[m * n:2 * m * n].reshape(m, n)
+    np.subtract(z.real[:, None], atoms.real[None, :], out=d2)
+    np.subtract(z.imag[:, None], atoms.imag[None, :], out=dy)
+    np.multiply(d2, d2, out=d2)
+    np.multiply(dy, dy, out=dy)
+    d2 += dy
+    return d2
+
+
+def _log_distances(z, atoms, out):
+    """log|z_i - atoms_j| as a (z.size, atoms.size) view into ``out``.
+
+    Computed as log(dx^2 + dy^2) / 2 in the buffer of
+    :func:`_squared_distances`.  A zero squared distance gives NEG_INF, and
+    so do pairs closer than about 1e-162, whose square underflows: they
+    count as coincident.  Pairs farther apart than about 1e154 overflow to
+    +inf.
+    """
+    d2 = _squared_distances(z, atoms, out)
+    with np.errstate(divide="ignore"):
+        np.log(d2, out=d2)
+    d2 *= 0.5
+    return d2
+
+
+def _tiles(kernel, z, atoms):
+    """Yield (start, kernel(z[start:start + _TILE], atoms, buffer)) over z.
+
+    One buffer serves every tile, so each view is overwritten by the next.
+    """
+    buf = np.empty(2 * min(_TILE, z.size) * atoms.size)
+    for start in range(0, z.size, _TILE):
+        yield start, kernel(z[start:start + _TILE], atoms, buf)
+
+
 def potential(m: EmpiricalMeasure, z) -> float | np.ndarray:
     """Logarithmic potential sum_i w_i log|z - z_i| at point(s) ``z``.
 
-    Returns NEG_INF where ``z`` coincides with an atom.  Far from the
-    support, potential(z) - log|z| tends to 0.
+    Returns NEG_INF where ``z`` coincides with an atom (to within the
+    underflow of :func:`_log_distances`).  Far from the support,
+    potential(z) - log|z| tends to 0.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty(z_arr.shape, dtype=float)
-    pts, w = m.points, m.weights
-    for start in range(0, z_arr.size, _CHUNK):
-        block = z_arr[start:start + _CHUNK, None]
-        dist = np.abs(block - pts[None, :])
-        hit = dist == 0.0
-        with np.errstate(divide="ignore"):
-            logs = np.log(dist)
-        vals = logs @ w
-        vals[np.any(hit, axis=1)] = NEG_INF
-        out[start:start + _CHUNK] = vals
+    for start, logs in _tiles(_log_distances, z_arr, m.points):
+        out[start:start + _TILE] = logs @ m.weights
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return float(out[0])
     return out
@@ -519,7 +559,7 @@ def energy(m: EmpiricalMeasure) -> float:
 
     Diagonal-excluded pairwise sum renormalized by (1 - sum w_i^2), which is
     unbiased against the product measure off the diagonal.  Coincident atoms
-    with positive joint weight give NEG_INF.
+    (to within the underflow of :func:`_log_distances`) give NEG_INF.
     """
     pts, w = m.points, m.weights
     n = pts.size
@@ -528,18 +568,16 @@ def energy(m: EmpiricalMeasure) -> float:
     denom = 1.0 - float(w @ w)
     if denom <= 0:
         raise MeasureSpecError("energy undefined for a single-atom mass")
+    # each pair once: the rows a..b of a tile against the columns a..n, with
+    # the diagonal and the part below it masked in the leading square
+    buf = np.empty(2 * min(_TILE, n) * n)
     total = 0.0
-    for start in range(0, n, _CHUNK):
-        block = pts[start:start + _CHUNK, None]
-        dist = np.abs(block - pts[None, :])
-        rows = np.arange(start, min(start + _CHUNK, n))
-        dist[rows - start, rows] = 1.0  # mask the diagonal
-        if np.any(dist == 0.0):
-            return NEG_INF
-        logs = np.log(dist)
-        logs[rows - start, rows] = 0.0
-        total += float(w[rows] @ (logs @ w))
-    return total / denom
+    for a in range(0, n, _TILE):
+        rows = min(_TILE, n - a)
+        logs = _log_distances(pts[a:a + rows], pts[a:], buf)
+        logs[np.tril_indices(rows)] = 0.0
+        total += float(w[a:a + rows] @ (logs @ w[a:]))
+    return 2.0 * total / denom
 
 
 def capacity_from_energy(e: float) -> float:

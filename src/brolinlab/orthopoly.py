@@ -205,7 +205,8 @@ def horner(coeffs, z):
     z_arr = np.asarray(z, dtype=complex)
     out = np.full(z_arr.shape, coeffs[-1], dtype=complex)
     for k in range(len(coeffs) - 2, -1, -1):
-        out = out * z_arr + coeffs[k]
+        out *= z_arr
+        out += coeffs[k]
     if z_arr.ndim == 0:
         return complex(out)
     return out

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brolinlab.dynamics import (PolyDyn, brolin_sample, capacity_julia,
-                                escape_radius, filled_julia_grid,
+from brolinlab import dynamics
+from brolinlab.dynamics import (ROOT_TOL_DEFAULT, PolyDyn, brolin_sample,
+                                capacity_julia, escape_radius,
+                                filled_julia_grid,
                                 functional_equation_residual, green_value,
                                 poly_roots, preimages)
 from brolinlab.grids import Rectangle
+from brolinlab.measures import MeasureSpec, make_quadrature
+from brolinlab.orthopoly import horner, orthonormal_basis
 
 Z2 = PolyDyn.from_coeffs([0.0, 0.0, 1.0])
 Z2_MINUS_2 = PolyDyn.from_coeffs([-2.0, 0.0, 1.0])
@@ -131,6 +135,28 @@ def test_roots_match_companion_eigenvalues():
     np.testing.assert_allclose(ours, ref, atol=1e-8)
 
 
+def test_aberth_freezes_roots_at_the_evaluation_floor(monkeypatch):
+    # The roots of the arcsine P_16 reach the evaluation floor within a few
+    # dozen steps, where rounding noise keeps the steps above the step rule;
+    # without freezing the iteration ran to its 200-step cap (406 calls).
+    spec = MeasureSpec.interval_density(-2.0, 2.0, "arcsine")
+    coeffs = orthonormal_basis(make_quadrature(spec, 256), 16).coeffs[16]
+    targets = np.linspace(-2.0, 2.0, 64) + 0j
+    calls = []
+
+    def counting_horner(c, z):
+        calls.append(1)
+        return horner(c, z)
+
+    monkeypatch.setattr(dynamics, "horner", counting_horner)
+    roots = dynamics._aberth_batch(coeffs, targets)
+    monkeypatch.undo()
+    assert len(calls) < 150
+    res = np.abs(horner(coeffs, roots) - targets[:, None])
+    bound = dynamics._residual_bound(coeffs, roots, targets, ROOT_TOL_DEFAULT)
+    assert np.all(res <= bound)
+
+
 def test_preimages_counted_with_multiplicity():
     np.testing.assert_allclose(np.sort_complex(preimages(Z2, 4.0 + 0j)),
                                [-2.0, 2.0], atol=1e-10)
@@ -173,6 +199,15 @@ def test_interval_samples_follow_the_arcsine_law():
     image = Z2_MINUS_2(pts)
     ks_image = ks_statistic(np.sort(arcsine_cdf(image.real)))
     assert ks_image < 0.03
+
+
+def test_array_draws_repeat_the_scalar_draws():
+    # brolin_sample draws each chain's branch picks as one array; its samples
+    # stay those of one scalar draw per step only while numpy keeps these equal
+    for d in range(2, 65):
+        arr = np.random.default_rng(d).integers(0, d, size=200)
+        rng = np.random.default_rng(d)
+        assert arr.tolist() == [int(rng.integers(0, d)) for _ in range(200)]
 
 
 def test_sampling_validates_its_arguments():

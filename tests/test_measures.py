@@ -266,6 +266,46 @@ def test_polar_configurations():
     assert capacity_from_energy(NEG_INF) == 0.0
 
 
+def _spread_measure(n: int, seed: int) -> EmpiricalMeasure:
+    rng = np.random.default_rng(seed)
+    pts = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    w = rng.uniform(0.5, 2.0, size=n)
+    return EmpiricalMeasure(pts, w / w.sum())
+
+
+def _full_matrix_logs(z, pts):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(z[:, None] - pts[None, :]))
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 200])
+def test_tiled_kernels_match_the_full_matrix(n):
+    m = _spread_measure(n, seed=n)
+    w = m.weights
+    logs = _full_matrix_logs(m.points, m.points)
+    np.fill_diagonal(logs, 0.0)
+    expected = float(w @ logs @ w) / (1.0 - float(w @ w))
+    assert energy(m) == pytest.approx(expected, rel=1e-13)
+    probes = 2.0 * np.exp(2j * np.pi * np.arange(150) / 150)
+    np.testing.assert_allclose(potential(m, probes),
+                               _full_matrix_logs(probes, m.points) @ w,
+                               rtol=1e-13)
+
+
+@pytest.mark.parametrize("i, j", [(3, 5), (10, 70)])
+def test_coincident_pairs_give_neg_inf_in_every_tile(i, j):
+    m = _spread_measure(200, seed=1)
+    pts = m.points.copy()
+    pts[j] = pts[i]
+    assert energy(EmpiricalMeasure(pts, m.weights)) == NEG_INF
+    probes = 2.0 * np.exp(2j * np.pi * np.arange(150) / 150)
+    probes[i] = pts[i]
+    probes[100 + i] = pts[j]
+    vals = potential(m, probes)
+    assert vals[i] == NEG_INF and vals[100 + i] == NEG_INF
+    assert np.isfinite(np.delete(vals, [i, 100 + i])).all()
+
+
 def test_empirical_measure_validation():
     with pytest.raises(MeasureSpecError):
         EmpiricalMeasure(np.array([], dtype=complex), np.array([]))
