@@ -14,8 +14,8 @@ from .dynamics import (PolyDyn, RootSolveError, brolin_sample, capacity_julia,
                        preimages)
 from .equilibrium import (EquilibriumResult, FrostmanReport, equilibrium_measure,
                           equilibrium_to_files, filled_hull, frostman_check,
-                          green_outer, outer_boundary_mask,
-                          reference_equilibrium, support_gridset)
+                          outer_boundary_mask, reference_equilibrium,
+                          support_gridset)
 from .grids import (GridField, GridSet, Rectangle, gridfield_to_csv,
                     gridset_from_files, gridset_to_files, rasterize_circle,
                     rasterize_disk, rasterize_rectangle_outline,
@@ -24,13 +24,11 @@ from .measures import (Density, EmpiricalMeasure, MeasureSpec,
                        MeasureSpecError, PrecisionExhaustedError,
                        QuadratureMeasure, capacity_from_energy,
                        default_node_count, empirical_from_csv,
-                       empirical_to_csv, energy, from_quadrature,
-                       make_quadrature, measure_schema, potential,
-                       quadrature_from_csv, quadrature_to_csv,
-                       validate_measure_dict)
+                       empirical_to_csv, energy, make_quadrature,
+                       measure_schema, potential, quadrature_from_csv,
+                       quadrature_to_csv, validate_measure_dict)
 from .orthopoly import (DegenerateQuadratureError, MinimalityReport,
                         OrthoBasis, basis_from_json, basis_to_json,
-                        evaluate_poly, gamma_root_sequence,
                         monic_minimality_check, orthonormal_basis)
 from .testfunctions import (AnnularBump, RadialBump, TestFunctionSet,
                             WindowFunction, default_test_functions)

@@ -147,76 +147,13 @@ def zero_distribution(b: OrthoBasis, n: int, spec: MeasureSpec,
     roots = np.asarray(poly_roots(b.coeffs[n]))
     if inflate is None:
         inflate = 1e-6 * (1.0 + spec.support_radius())
-    dist = _hull_distance(spec, roots)
+    dist = spec.hull_distance(roots)
     if np.any(dist > inflate):
         worst = roots[int(np.argmax(dist))]
         raise HypothesisViolation(
             f"root {worst} lies {dist.max():.3e} outside the support hull")
     w = np.full(roots.size, 1.0 / roots.size)
     return EmpiricalMeasure(roots, w, provenance="zeros")
-
-
-def _hull_distance(spec: MeasureSpec, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the convex hull of the support (0 inside)."""
-    z = np.asarray(points, dtype=complex)
-    if spec.kind == "circle-uniform":
-        return np.maximum(np.abs(z - spec.center) - spec.radius, 0.0)
-    if spec.kind == "interval-density":
-        a, b = spec.endpoints
-        t = np.clip(z.real, a, b)
-        return np.abs(z - t)
-    pts = _support_sample_points(spec)
-    return _polygon_hull_distance(pts, z)
-
-
-def _support_sample_points(spec: MeasureSpec) -> np.ndarray:
-    if spec.kind == "circle-uniform":
-        k = np.arange(256)
-        return spec.center + spec.radius * np.exp(2j * np.pi * k / 256)
-    if spec.kind == "interval-density":
-        a, b = spec.endpoints
-        return np.array([complex(a, 0), complex(b, 0)])
-    if spec.kind == "atomic-mixture":
-        return np.array([zz for zz, _ in spec.atoms], dtype=complex)
-    if spec.kind == "mixture":
-        return np.concatenate([_support_sample_points(sub)
-                               for sub, _ in spec.components])
-    if spec.kind == "quadrature-table":
-        return make_quadrature(spec, 1).nodes
-    raise ValueError(f"unknown measure kind {spec.kind!r}")
-
-
-def _polygon_hull_distance(hull_points: np.ndarray, z: np.ndarray) -> np.ndarray:
-    xy = np.column_stack([hull_points.real, hull_points.imag])
-    try:
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(xy)
-        verts = hull_points[hull.vertices]
-    except Exception:  # collinear support degenerates to a segment
-        direction = hull_points[np.argmax(np.abs(hull_points - hull_points.mean()))]
-        direction = direction - hull_points.mean()
-        if direction == 0:
-            return np.abs(z - hull_points.mean())
-        direction /= abs(direction)
-        proj = ((hull_points - hull_points.mean()) * np.conj(direction)).real
-        lo, hi = proj.min(), proj.max()
-        t = np.clip(((z - hull_points.mean()) * np.conj(direction)).real, lo, hi)
-        return np.abs(z - (hull_points.mean() + t * direction))
-    m = verts.size
-    out = np.zeros(z.shape, dtype=float)
-    inside = np.ones(z.shape, dtype=bool)
-    seg_dist = np.full(z.shape, np.inf)
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        edge = b - a
-        # vertices are counterclockwise; negative cross product means outside
-        cross = ((z - a) * np.conj(edge)).imag
-        inside &= cross >= 0
-        t = np.clip(((z - a) * np.conj(edge)).real / abs(edge) ** 2, 0.0, 1.0)
-        seg_dist = np.minimum(seg_dist, np.abs(z - (a + t * edge)))
-    out[~inside] = seg_dist[~inside]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +356,9 @@ def run_sweep(spec: MeasureSpec, degrees=None,
     if degrees[0] < 2:
         raise ValueError("sweep degrees must be >= 2")
     max_degree = degrees[-1]
+    if spec.non_polar() is None:
+        raise HypothesisViolation("the support is a finite set, which is polar: "
+                                  "it has no equilibrium measure")
 
     node_count = config.node_count or default_node_count(max_degree)
     q = make_quadrature(spec, node_count)
@@ -475,8 +415,9 @@ def run_sweep(spec: MeasureSpec, degrees=None,
               for f in config.probe_ring_factors]
     # circles add a ring inside the disk, where the equilibrium potential
     # is flat
-    if spec.kind == "circle-uniform":
-        probes.append(probe_ring(spec.center, 0.5 * spec.radius, 8))
+    if hull.shape is not None and hull.shape[0] == "circle":
+        _, center, radius = hull.shape
+        probes.append(probe_ring(center, 0.5 * radius, 8))
     probe_points = np.concatenate(probes)
 
     preimage_targets = np.concatenate([

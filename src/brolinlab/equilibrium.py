@@ -16,10 +16,10 @@ import numpy as np
 from scipy import ndimage
 
 from ._io import write_json
-from .grids import GridSet, Rectangle, rasterize_circle, rasterize_segment
+from .grids import GridSet, Rectangle
 from .measures import (_TILE, EmpiricalMeasure, MeasureSpec, NEG_INF,
                        _log_distances, _tiles, capacity_from_energy,
-                       empirical_to_csv, energy, make_quadrature)
+                       empirical_to_csv, energy)
 
 THETA_DEFAULT = 0.5
 SPREAD_TOL_DEFAULT = 2e-3
@@ -204,16 +204,6 @@ def _interval_closed_form(a: float, b: float, n_atoms: int,
                              iterations_run=0)
 
 
-def green_outer(e: EquilibriumResult, z) -> float | np.ndarray:
-    """Green function of the complement: max(0, p_omega(z) - I)."""
-    pts = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals = _regularized_potential(e.measure, pts) - e.energy
-    out = np.maximum(vals, 0.0)
-    if np.asarray(z).ndim == 0:
-        return float(out[0])
-    return out
-
-
 @dataclass(frozen=True)
 class FrostmanReport:
     min_on_set: float
@@ -279,56 +269,23 @@ def support_gridset(spec: MeasureSpec, resolution: int = 512,
         span = max(xmax - xmin, ymax - ymin, 1.0)
         pad = 0.35 * span
         rect = Rectangle(xmin - pad, xmax + pad, ymin - pad, ymax + pad)
-    mask = _support_mask(spec, rect, resolution, resolution)
-    shape = None
-    if spec.kind == "circle-uniform":
-        shape = ("circle", spec.center, spec.radius)
-    elif spec.kind == "interval-density":
-        shape = ("interval", spec.endpoints[0], spec.endpoints[1])
-    return GridSet(rect, mask, provenance="named-shape" if shape else "custom",
-                   shape=shape)
-
-
-def _support_mask(spec: MeasureSpec, rect: Rectangle, nx: int, ny: int):
-    if spec.kind == "circle-uniform":
-        return rasterize_circle(spec.center, spec.radius, rect, nx, ny).mask
-    if spec.kind == "interval-density":
-        a, b = spec.endpoints
-        return rasterize_segment(complex(a, 0), complex(b, 0), rect, nx, ny).mask
-    if spec.kind == "atomic-mixture":
-        return _points_mask([z for z, _ in spec.atoms], rect, nx, ny)
-    if spec.kind == "mixture":
-        mask = np.zeros((ny, nx), dtype=bool)
-        for sub, _ in spec.components:
-            mask |= _support_mask(sub, rect, nx, ny)
-        return mask
-    if spec.kind == "quadrature-table":
-        q = make_quadrature(spec, 1)
-        return _points_mask(q.nodes, rect, nx, ny)
-    raise ValueError(f"unknown measure kind {spec.kind!r}")
-
-
-def _points_mask(points, rect: Rectangle, nx: int, ny: int):
-    mask = np.zeros((ny, nx), dtype=bool)
-    hx, hy = rect.spacing(nx, ny)
-    for z in points:
-        ix = int((z.real - rect.xmin) / hx)
-        iy = int((z.imag - rect.ymin) / hy)
-        if 0 <= ix < nx and 0 <= iy < ny:
-            mask[iy, ix] = True
-    return mask
+    return spec.support_set(rect, resolution, resolution)
 
 
 def reference_equilibrium(spec: MeasureSpec, n_atoms: int = 2048,
                           resolution: int = 512) -> EquilibriumResult:
-    """Equilibrium measure of the support of ``spec``.
+    """Equilibrium measure of the support of ``spec.non_polar()``.
 
+    Polar pieces (atoms) carry no equilibrium mass, so they are dropped.
     Circles and intervals reach the closed forms through the shape that
     :func:`support_gridset` records (any interval density has the full
     interval as support, hence the arcsine reference); other kinds go
     through the grid solver on the rasterized support.
     """
-    return equilibrium_measure(support_gridset(spec, resolution=resolution),
+    support = spec.non_polar()
+    if support is None:
+        raise ValueError("a polar support has no equilibrium measure")
+    return equilibrium_measure(support_gridset(support, resolution=resolution),
                                n_atoms=n_atoms)
 
 

@@ -180,6 +180,18 @@ def rasterize_segment(a: complex, b: complex, rect: Rectangle,
     return GridSet(rect, mask, provenance="named-shape", shape=shape)
 
 
+def rasterize_points(points, rect: Rectangle, nx: int, ny: int) -> GridSet:
+    """The pixels holding the given points; points off the grid are dropped."""
+    z = np.asarray(points, dtype=complex)
+    hx, hy = rect.spacing(nx, ny)
+    ix = ((z.real - rect.xmin) / hx).astype(int)
+    iy = ((z.imag - rect.ymin) / hy).astype(int)
+    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    mask = np.zeros((ny, nx), dtype=bool)
+    mask[iy[ok], ix[ok]] = True
+    return GridSet(rect, mask)
+
+
 def rasterize_rectangle_outline(xmin: float, xmax: float, ymin: float,
                                 ymax: float, rect: Rectangle,
                                 nx: int, ny: int) -> GridSet:

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from ._io import read_json, write_csv, write_json
+from .grids import (GridSet, Rectangle, rasterize_circle, rasterize_points,
+                    rasterize_segment)
 
 NEG_INF = float("-inf")
 """Reserved sentinel for potentials and energies of measures with atoms
@@ -71,144 +74,90 @@ class Density:
             raise MeasureSpecError(f"{self.name} density takes no exponents")
 
 
+def _check_weights(weights, what: str) -> None:
+    """Require strictly positive weights summing to 1; NaN fails both tests."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(w > 0):
+        raise MeasureSpecError(f"{what} must be strictly positive")
+    if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
+        raise MeasureSpecError(f"{what} must sum to 1")
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """Constructive description of a compactly supported probability measure.
 
-    Build instances through the named constructors (:meth:`circle_uniform`,
+    Each measure kind is a frozen subclass that validates itself on
+    construction and owns its JSON fields, quadrature nodes, support mask
+    and hull; ``_KINDS`` maps the JSON ``kind`` to it.  Build instances
+    through the named constructors (:meth:`circle_uniform`,
     :meth:`interval_density`, :meth:`atomic_mixture`, :meth:`mixture`,
-    :meth:`quadrature_table`); the raw constructor performs no validation.
+    :meth:`quadrature_table`).  The defaults below derive the geometry from
+    :meth:`hull_points`, points whose convex hull is that of the support.
     """
 
-    kind: str
-    label: str = ""
-    center: complex = 0j
-    radius: float = 1.0
-    endpoints: tuple[float, float] | None = None
-    density: Density | None = None
-    atoms: tuple[tuple[complex, float], ...] = ()
-    components: tuple[tuple["MeasureSpec", float], ...] = ()
-    table_path: str | None = None
+    kind: ClassVar[str]
+    label: str = field(default="", kw_only=True)
+
+    def __post_init__(self):
+        self.validate()
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def circle_uniform(cls, center: complex = 0j, radius: float = 1.0,
-                       label: str = "") -> "MeasureSpec":
-        spec = cls(kind="circle-uniform", label=label, center=complex(center),
-                   radius=float(radius))
-        spec.validate()
-        return spec
+    @staticmethod
+    def circle_uniform(center: complex = 0j, radius: float = 1.0,
+                       label: str = "") -> "CircleUniform":
+        return CircleUniform(complex(center), float(radius), label=label)
 
-    @classmethod
-    def interval_density(cls, a: float, b: float,
-                         density: Density | str = "lebesgue",
-                         label: str = "") -> "MeasureSpec":
+    @staticmethod
+    def interval_density(a: float, b: float, density: Density | str = "lebesgue",
+                         label: str = "") -> "IntervalDensity":
         if isinstance(density, str):
             density = Density(density)
-        spec = cls(kind="interval-density", label=label,
-                   endpoints=(float(a), float(b)), density=density)
-        spec.validate()
-        return spec
+        return IntervalDensity((float(a), float(b)), density, label=label)
 
-    @classmethod
-    def atomic_mixture(cls, atoms, label: str = "") -> "MeasureSpec":
-        spec = cls(kind="atomic-mixture", label=label,
-                   atoms=tuple((complex(z), float(w)) for z, w in atoms))
-        spec.validate()
-        return spec
+    @staticmethod
+    def atomic_mixture(atoms, label: str = "") -> "AtomicMixture":
+        return AtomicMixture(tuple((complex(z), float(w)) for z, w in atoms),
+                             label=label)
 
-    @classmethod
-    def mixture(cls, components, label: str = "") -> "MeasureSpec":
-        spec = cls(kind="mixture", label=label,
-                   components=tuple((s, float(w)) for s, w in components))
-        spec.validate()
-        return spec
+    @staticmethod
+    def mixture(components, label: str = "") -> "Mixture":
+        return Mixture(tuple((s, float(w)) for s, w in components), label=label)
 
-    @classmethod
-    def quadrature_table(cls, path: str | Path, label: str = "") -> "MeasureSpec":
-        spec = cls(kind="quadrature-table", label=label, table_path=str(path))
-        spec.validate()
-        return spec
+    @staticmethod
+    def quadrature_table(path: str | Path, label: str = "") -> "QuadratureTable":
+        return QuadratureTable(str(path), label=label)
 
-    # -- validation --------------------------------------------------------
-
-    def validate(self) -> None:
-        if self.kind == "circle-uniform":
-            if not (self.radius > 0 and math.isfinite(self.radius)):
-                raise MeasureSpecError("circle radius must be positive and finite")
-            if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
-                raise MeasureSpecError("circle center must be finite")
-        elif self.kind == "interval-density":
-            if self.endpoints is None or self.density is None:
-                raise MeasureSpecError("interval-density needs endpoints and density")
-            a, b = self.endpoints
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise MeasureSpecError("interval endpoints must satisfy a < b")
-            self.density.validate()
-        elif self.kind == "atomic-mixture":
-            if not self.atoms:
-                raise MeasureSpecError("atomic-mixture needs at least one atom")
-            weights = np.array([w for _, w in self.atoms])
-            if np.any(weights <= 0):
-                raise MeasureSpecError("atom weights must be strictly positive")
-            if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-                raise MeasureSpecError("atom weights must sum to 1")
-            for z, _ in self.atoms:
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise MeasureSpecError("atoms must be finite")
-        elif self.kind == "mixture":
-            if not self.components:
-                raise MeasureSpecError("mixture needs at least one component")
-            weights = np.array([w for _, w in self.components])
-            if np.any(weights <= 0):
-                raise MeasureSpecError("component weights must be strictly positive")
-            if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-                raise MeasureSpecError("component weights must sum to 1")
-            if self.mixture_depth() > MAX_MIXTURE_DEPTH:
-                raise MeasureSpecError(
-                    f"mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}")
-            for sub, _ in self.components:
-                sub.validate()
-        elif self.kind == "quadrature-table":
-            if not self.table_path:
-                raise MeasureSpecError("quadrature-table needs a file path")
-        else:
-            raise MeasureSpecError(f"unknown measure kind {self.kind!r}")
+    # -- defaults ----------------------------------------------------------
 
     def mixture_depth(self) -> int:
-        if self.kind != "mixture":
-            return 1
-        return 1 + max(sub.mixture_depth() for sub, _ in self.components)
+        return 1
 
-    # -- geometry ----------------------------------------------------------
+    def non_polar(self) -> "MeasureSpec | None":
+        """The measure restricted to its non-polar pieces and renormalized;
+        None when the whole support is polar (finite sets are)."""
+        return self
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) box containing the support."""
-        if self.kind == "circle-uniform":
-            c, r = self.center, self.radius
-            return (c.real - r, c.real + r, c.imag - r, c.imag + r)
-        if self.kind == "interval-density":
-            a, b = self.endpoints
-            return (a, b, 0.0, 0.0)
-        if self.kind == "atomic-mixture":
-            xs = [z.real for z, _ in self.atoms]
-            ys = [z.imag for z, _ in self.atoms]
-            return (min(xs), max(xs), min(ys), max(ys))
-        if self.kind == "mixture":
-            boxes = [sub.bounding_box() for sub, _ in self.components]
-            return (min(b[0] for b in boxes), max(b[1] for b in boxes),
-                    min(b[2] for b in boxes), max(b[3] for b in boxes))
-        if self.kind == "quadrature-table":
-            q = _read_table(self.table_path)
-            pts = q[0]
-            return (pts.real.min(), pts.real.max(), pts.imag.min(), pts.imag.max())
-        raise MeasureSpecError(f"unknown measure kind {self.kind!r}")
+        z = self.hull_points()
+        return tuple(float(v) for v in (z.real.min(), z.real.max(),
+                                        z.imag.min(), z.imag.max()))
 
     def support_radius(self) -> float:
         """max |z| over the support bounding box corners."""
         xmin, xmax, ymin, ymax = self.bounding_box()
         return max(math.hypot(x, y) for x in (xmin, xmax) for y in (ymin, ymax))
+
+    def hull_distance(self, z) -> np.ndarray:
+        """Distance from each point to the convex hull of the support (0 inside)."""
+        return _polygon_hull_distance(self.hull_points(),
+                                      np.asarray(z, dtype=complex))
+
+    def support_set(self, rect: Rectangle, nx: int, ny: int) -> GridSet:
+        """Pixel mask of the support on an nx-by-ny grid over ``rect``."""
+        return rasterize_points(self.hull_points(), rect, nx, ny)
 
     # -- JSON --------------------------------------------------------------
 
@@ -216,24 +165,7 @@ class MeasureSpec:
         out: dict = {"kind": self.kind}
         if self.label:
             out["label"] = self.label
-        if self.kind == "circle-uniform":
-            out["center"] = [self.center.real, self.center.imag]
-            out["radius"] = self.radius
-        elif self.kind == "interval-density":
-            out["endpoints"] = list(self.endpoints)
-            d = {"name": self.density.name}
-            if self.density.name == "jacobi":
-                d["alpha"] = self.density.alpha
-                d["beta"] = self.density.beta
-            out["density"] = d
-        elif self.kind == "atomic-mixture":
-            out["atoms"] = [{"point": [z.real, z.imag], "weight": w}
-                            for z, w in self.atoms]
-        elif self.kind == "mixture":
-            out["components"] = [{"weight": w, "spec": sub.to_dict()}
-                                 for sub, w in self.components]
-        elif self.kind == "quadrature-table":
-            out["path"] = self.table_path
+        out.update(self.json_fields())
         return out
 
     @classmethod
@@ -249,31 +181,235 @@ class MeasureSpec:
         write_json(path, self.to_dict())
 
 
-def _spec_from_dict(data: dict) -> MeasureSpec:
-    kind = data["kind"]
-    label = data.get("label", "")
-    if kind == "circle-uniform":
-        cx, cy = data["center"]
-        return MeasureSpec.circle_uniform(complex(cx, cy), data["radius"], label)
-    if kind == "interval-density":
-        a, b = data["endpoints"]
+@dataclass(frozen=True)
+class CircleUniform(MeasureSpec):
+    kind: ClassVar[str] = "circle-uniform"
+    center: complex
+    radius: float
+
+    def validate(self) -> None:
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise MeasureSpecError("circle radius must be positive and finite")
+        if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
+            raise MeasureSpecError("circle center must be finite")
+
+    def json_fields(self) -> dict:
+        return {"center": [self.center.real, self.center.imag],
+                "radius": self.radius}
+
+    @classmethod
+    def parse(cls, data: dict, label: str) -> "CircleUniform":
+        return cls.circle_uniform(complex(*data["center"]), data["radius"], label)
+
+    def bounding_box(self) -> tuple[float, float, float, float]:
+        c, r = self.center, self.radius
+        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
+
+    def nodes(self, node_count: int):
+        k = np.arange(node_count)
+        nodes = self.center + self.radius * np.exp(2j * np.pi * k / node_count)
+        return nodes, np.full(node_count, 1.0 / node_count)
+
+    def hull_points(self) -> np.ndarray:
+        return self.nodes(256)[0]
+
+    def hull_distance(self, z) -> np.ndarray:
+        return np.maximum(np.abs(z - self.center) - self.radius, 0.0)
+
+    def support_set(self, rect: Rectangle, nx: int, ny: int) -> GridSet:
+        return rasterize_circle(self.center, self.radius, rect, nx, ny)
+
+
+@dataclass(frozen=True)
+class IntervalDensity(MeasureSpec):
+    kind: ClassVar[str] = "interval-density"
+    endpoints: tuple[float, float]
+    density: Density
+
+    def validate(self) -> None:
+        a, b = self.endpoints
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise MeasureSpecError("interval endpoints must satisfy a < b")
+        self.density.validate()
+
+    def json_fields(self) -> dict:
+        d = {"name": self.density.name}
+        if self.density.name == "jacobi":
+            d["alpha"] = self.density.alpha
+            d["beta"] = self.density.beta
+        return {"endpoints": list(self.endpoints), "density": d}
+
+    @classmethod
+    def parse(cls, data: dict, label: str) -> "IntervalDensity":
         d = data["density"]
-        if isinstance(d, str):
-            density = Density(d)
-        else:
-            density = Density(d["name"], d.get("alpha"), d.get("beta"))
-        return MeasureSpec.interval_density(a, b, density, label)
-    if kind == "atomic-mixture":
-        atoms = [(complex(a["point"][0], a["point"][1]), a["weight"])
-                 for a in data["atoms"]]
-        return MeasureSpec.atomic_mixture(atoms, label)
-    if kind == "mixture":
-        comps = [(_spec_from_dict(c["spec"]), c["weight"])
-                 for c in data["components"]]
-        return MeasureSpec.mixture(comps, label)
-    if kind == "quadrature-table":
-        return MeasureSpec.quadrature_table(data["path"], label)
-    raise MeasureSpecError(f"unknown measure kind {kind!r}")
+        density = (Density(d) if isinstance(d, str)
+                   else Density(d["name"], d.get("alpha"), d.get("beta")))
+        return cls.interval_density(*data["endpoints"], density, label)
+
+    def nodes(self, node_count: int):
+        a, b = self.endpoints
+        t, w = _interval_rule(self.density, node_count)
+        return ((a + b) / 2 + (b - a) / 2 * t).astype(complex), w
+
+    def hull_points(self) -> np.ndarray:
+        return np.array(self.endpoints, dtype=complex)
+
+    def hull_distance(self, z) -> np.ndarray:
+        a, b = self.endpoints
+        return np.abs(z - np.clip(z.real, a, b))
+
+    def support_set(self, rect: Rectangle, nx: int, ny: int) -> GridSet:
+        a, b = self.endpoints
+        return rasterize_segment(complex(a, 0), complex(b, 0), rect, nx, ny)
+
+
+@dataclass(frozen=True)
+class AtomicMixture(MeasureSpec):
+    kind: ClassVar[str] = "atomic-mixture"
+    atoms: tuple[tuple[complex, float], ...]
+
+    def validate(self) -> None:
+        if not self.atoms:
+            raise MeasureSpecError("atomic-mixture needs at least one atom")
+        _check_weights([w for _, w in self.atoms], "atom weights")
+        if not np.all(np.isfinite(self.hull_points())):
+            raise MeasureSpecError("atoms must be finite")
+
+    def json_fields(self) -> dict:
+        return {"atoms": [{"point": [z.real, z.imag], "weight": w}
+                          for z, w in self.atoms]}
+
+    @classmethod
+    def parse(cls, data: dict, label: str) -> "AtomicMixture":
+        return cls.atomic_mixture([(complex(*a["point"]), a["weight"])
+                                   for a in data["atoms"]], label)
+
+    def non_polar(self) -> None:
+        return None
+
+    def nodes(self, node_count: int):
+        return self.hull_points(), np.array([w for _, w in self.atoms])
+
+    def hull_points(self) -> np.ndarray:
+        return np.array([z for z, _ in self.atoms], dtype=complex)
+
+
+@dataclass(frozen=True)
+class Mixture(MeasureSpec):
+    kind: ClassVar[str] = "mixture"
+    components: tuple[tuple[MeasureSpec, float], ...]
+
+    def validate(self) -> None:
+        if not self.components:
+            raise MeasureSpecError("mixture needs at least one component")
+        _check_weights([w for _, w in self.components], "component weights")
+        if self.mixture_depth() > MAX_MIXTURE_DEPTH:
+            raise MeasureSpecError(
+                f"mixture nesting depth exceeds {MAX_MIXTURE_DEPTH}")
+
+    def json_fields(self) -> dict:
+        return {"components": [{"weight": w, "spec": sub.to_dict()}
+                               for sub, w in self.components]}
+
+    @classmethod
+    def parse(cls, data: dict, label: str) -> "Mixture":
+        return cls.mixture([(_spec_from_dict(c["spec"]), c["weight"])
+                            for c in data["components"]], label)
+
+    def mixture_depth(self) -> int:
+        return 1 + max(sub.mixture_depth() for sub, _ in self.components)
+
+    def non_polar(self) -> MeasureSpec | None:
+        parts = [(sub.non_polar(), w) for sub, w in self.components]
+        parts = [(sub, w) for sub, w in parts if sub is not None]
+        if len(parts) <= 1:
+            return parts[0][0] if parts else None
+        total = sum(w for _, w in parts)
+        return Mixture(tuple((sub, w / total) for sub, w in parts),
+                       label=self.label)
+
+    def bounding_box(self) -> tuple[float, float, float, float]:
+        boxes = [sub.bounding_box() for sub, _ in self.components]
+        return (min(b[0] for b in boxes), max(b[1] for b in boxes),
+                min(b[2] for b in boxes), max(b[3] for b in boxes))
+
+    def nodes(self, node_count: int):
+        parts = [sub.nodes(node_count) for sub, _ in self.components]
+        return (np.concatenate([n for n, _ in parts]),
+                np.concatenate([w * wt for (_, w), (_, wt)
+                                in zip(parts, self.components)]))
+
+    def hull_points(self) -> np.ndarray:
+        return np.concatenate([sub.hull_points() for sub, _ in self.components])
+
+    def support_set(self, rect: Rectangle, nx: int, ny: int) -> GridSet:
+        mask = np.zeros((ny, nx), dtype=bool)
+        for sub, _ in self.components:
+            mask |= sub.support_set(rect, nx, ny).mask
+        return GridSet(rect, mask)
+
+
+@dataclass(frozen=True)
+class QuadratureTable(MeasureSpec):
+    kind: ClassVar[str] = "quadrature-table"
+    table_path: str
+
+    def validate(self) -> None:
+        if not self.table_path:
+            raise MeasureSpecError("quadrature-table needs a file path")
+
+    def json_fields(self) -> dict:
+        return {"path": self.table_path}
+
+    @classmethod
+    def parse(cls, data: dict, label: str) -> "QuadratureTable":
+        return cls.quadrature_table(data["path"], label)
+
+    def nodes(self, node_count: int):
+        return _read_table(self.table_path)
+
+    def hull_points(self) -> np.ndarray:
+        return self.nodes(1)[0]
+
+
+_KINDS = {cls.kind: cls for cls in (CircleUniform, IntervalDensity,
+                                    AtomicMixture, Mixture, QuadratureTable)}
+
+
+def _spec_from_dict(data: dict) -> MeasureSpec:
+    return _KINDS[data["kind"]].parse(data, data.get("label", ""))
+
+
+def _polygon_hull_distance(hull_points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Distance from each of ``z`` to the convex hull of ``hull_points``."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        verts = hull_points[ConvexHull(
+            np.column_stack([hull_points.real, hull_points.imag])).vertices]
+    except QhullError:  # fewer than 3 points, or all collinear
+        center = hull_points.mean()
+        direction = hull_points[np.argmax(np.abs(hull_points - center))] - center
+        if direction == 0:
+            return np.abs(z - center)
+        direction /= abs(direction)
+        proj = ((hull_points - center) * np.conj(direction)).real
+        t = np.clip(((z - center) * np.conj(direction)).real, proj.min(), proj.max())
+        return np.abs(z - (center + t * direction))
+    m = verts.size
+    out = np.zeros(z.shape, dtype=float)
+    inside = np.ones(z.shape, dtype=bool)
+    seg_dist = np.full(z.shape, np.inf)
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
+        edge = b - a
+        # vertices are counterclockwise; negative cross product means outside
+        cross = ((z - a) * np.conj(edge)).imag
+        inside &= cross >= 0
+        t = np.clip(((z - a) * np.conj(edge)).real / abs(edge) ** 2, 0.0, 1.0)
+        seg_dist = np.minimum(seg_dist, np.abs(z - (a + t * edge)))
+    out[~inside] = seg_dist[~inside]
+    return out
 
 
 _MEASURE_SCHEMA = None
@@ -324,11 +460,9 @@ class QuadratureMeasure:
             raise MeasureSpecError("nodes and weights must be matching 1-d arrays")
         if nodes.size < 2:
             raise MeasureSpecError("need at least 2 quadrature nodes")
-        if np.any(weights <= 0):
-            raise MeasureSpecError("quadrature weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-            raise MeasureSpecError(
-                f"quadrature weights sum to {weights.sum()!r}, expected 1")
+        if not np.all(np.isfinite(nodes)):
+            raise MeasureSpecError("quadrature nodes must be finite")
+        _check_weights(weights, "quadrature weights")
 
     @property
     def node_count(self) -> int:
@@ -349,41 +483,11 @@ def make_quadrature(spec: MeasureSpec, node_count: int) -> QuadratureMeasure:
     rules (node_count nodes per component) with weights scaled by the
     component weights.  Identical inputs produce bit-identical output.
     """
-    spec.validate()
     if node_count < 1:
         raise MeasureSpecError("node_count must be >= 1")
-    nodes, weights = _build_nodes(spec, node_count)
-    q = QuadratureMeasure(nodes, weights)
+    q = QuadratureMeasure(*spec.nodes(node_count))
     _check_bbox(spec, q)
     return q
-
-
-def _build_nodes(spec: MeasureSpec, node_count: int):
-    if spec.kind == "circle-uniform":
-        k = np.arange(node_count)
-        nodes = spec.center + spec.radius * np.exp(2j * np.pi * k / node_count)
-        weights = np.full(node_count, 1.0 / node_count)
-        return nodes, weights
-    if spec.kind == "interval-density":
-        a, b = spec.endpoints
-        t, w = _interval_rule(spec.density, node_count)
-        nodes = (a + b) / 2 + (b - a) / 2 * t
-        return nodes.astype(complex), w
-    if spec.kind == "atomic-mixture":
-        nodes = np.array([z for z, _ in spec.atoms], dtype=complex)
-        weights = np.array([w for _, w in spec.atoms])
-        return nodes, weights
-    if spec.kind == "mixture":
-        parts = []
-        for sub, wt in spec.components:
-            n, w = _build_nodes(sub, node_count)
-            parts.append((n, w * wt))
-        nodes = np.concatenate([p[0] for p in parts])
-        weights = np.concatenate([p[1] for p in parts])
-        return nodes, weights
-    if spec.kind == "quadrature-table":
-        return _read_table(spec.table_path)
-    raise MeasureSpecError(f"unknown measure kind {spec.kind!r}")
 
 
 def _interval_rule(density: Density, n: int):
@@ -421,6 +525,8 @@ def _read_table(path: str | Path):
     rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     if rows.shape[1] != 3:
         raise MeasureSpecError("quadrature table must have columns re,im,weight")
+    if not np.all(np.isfinite(rows)):
+        raise MeasureSpecError("quadrature table entries must be finite")
     return rows[:, 0] + 1j * rows[:, 1], rows[:, 2].copy()
 
 
@@ -465,10 +571,9 @@ class EmpiricalMeasure:
             raise MeasureSpecError("points and weights must be matching 1-d arrays")
         if points.size == 0:
             raise MeasureSpecError("empirical measure needs at least one point")
-        if np.any(weights <= 0):
-            raise MeasureSpecError("weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > WEIGHT_TOL:
-            raise MeasureSpecError("weights must sum to 1")
+        if not np.all(np.isfinite(points)):
+            raise MeasureSpecError("points must be finite")
+        _check_weights(weights, "weights")
 
     @property
     def size(self) -> int:
@@ -484,11 +589,6 @@ def empirical_from_csv(path: str | Path, seed: int = 0,
                        provenance: str = "custom") -> EmpiricalMeasure:
     points, weights = _read_table(path)
     return EmpiricalMeasure(points, weights, seed=seed, provenance=provenance)
-
-
-def from_quadrature(q: QuadratureMeasure) -> EmpiricalMeasure:
-    """View a quadrature rule as an empirical measure."""
-    return EmpiricalMeasure(q.nodes, q.weights, provenance="custom")
 
 
 # ---------------------------------------------------------------------------

@@ -212,19 +212,6 @@ def horner(coeffs, z):
     return out
 
 
-def evaluate_poly(b: OrthoBasis, n: int, z):
-    """Evaluate P_n at point(s) ``z`` by Horner's rule."""
-    if not 0 <= n <= b.max_degree:
-        raise MeasureSpecError(f"degree {n} outside basis range 0..{b.max_degree}")
-    return horner(b.coeffs[n], z)
-
-
-def gamma_root_sequence(b: OrthoBasis) -> np.ndarray:
-    """gamma_n^(1/n) for n = 1 .. max_degree."""
-    n = np.arange(1, b.max_degree + 1)
-    return b.gammas[1:] ** (1.0 / n)
-
-
 @dataclass(frozen=True)
 class MinimalityReport:
     min_ratio: float

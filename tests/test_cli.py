@@ -260,6 +260,16 @@ def test_lab_rejects_a_region_touching_the_support(tmp_path):
     assert "intersects" in res.stderr
 
 
+def test_lab_rejects_a_purely_atomic_measure(tmp_path):
+    atoms = {"kind": "atomic-mixture",
+             "atoms": [{"point": [0.0, 0.0], "weight": 0.5},
+                       {"point": [1.0, 0.0], "weight": 0.5}]}
+    cfg = write_json(tmp_path / "config.json", {**LAB_CONFIG, "measure": atoms})
+    res = run_cli("lab", "--config", cfg, "--out", tmp_path / "out")
+    assert res.returncode == EXIT_INVALID
+    assert "polar" in res.stderr
+
+
 def test_lab_reports_a_basis_that_stops_short_as_exhausted_precision(tmp_path):
     lebesgue = {"kind": "interval-density", "endpoints": [-1.0, 1.0],
                 "density": "lebesgue"}

@@ -16,8 +16,7 @@ from brolinlab.convergence import (HypothesisViolation, SweepConfig,
                                    zero_distribution)
 from brolinlab.dynamics import PolyDyn, brolin_sample, filled_julia_grid
 from brolinlab.grids import Rectangle, rasterize_disk
-from brolinlab.measures import (EmpiricalMeasure, MeasureSpec, from_quadrature,
-                                make_quadrature)
+from brolinlab.measures import EmpiricalMeasure, MeasureSpec, make_quadrature
 from brolinlab.orthopoly import orthonormal_basis
 from brolinlab.testfunctions import AnnularBump, RadialBump
 
@@ -38,12 +37,14 @@ def test_probe_ring_geometry():
 
 
 def test_weak_distance_of_a_measure_to_itself_is_zero():
-    m = from_quadrature(make_quadrature(MeasureSpec.circle_uniform(), 64))
+    q = make_quadrature(MeasureSpec.circle_uniform(), 64)
+    m = EmpiricalMeasure(q.nodes, q.weights)
     assert weak_star_distance(m, m, probe_ring(0j, 1.5, 16)) == 0.0
 
 
 def test_point_mass_sits_log2_from_the_circle_on_the_half_radius():
-    circle = from_quadrature(make_quadrature(MeasureSpec.circle_uniform(), 4096))
+    q = make_quadrature(MeasureSpec.circle_uniform(), 4096)
+    circle = EmpiricalMeasure(q.nodes, q.weights)
     delta = EmpiricalMeasure(np.array([0j]), np.array([1.0]))
     probes = np.concatenate([probe_ring(0j, 1.5, 32), probe_ring(0j, 0.5, 8)])
     assert weak_star_distance(circle, delta, probes) == pytest.approx(LOG2,
@@ -226,6 +227,24 @@ def test_sweep_rejects_a_region_inside_the_support():
     with pytest.raises(HypothesisViolation, match="intersects"):
         run_sweep(MeasureSpec.interval_density(-1.0, 1.0, "lebesgue"),
                   [2, 3], cfg)
+
+
+def test_an_atom_off_the_circle_does_not_move_the_reference():
+    # 0.9 * circle + 0.1 * delta_3 is regular and its support has capacity 1;
+    # the atom is polar, so omega_n must approach the circle's equilibrium
+    spec = MeasureSpec.mixture([
+        (MeasureSpec.circle_uniform(), 0.9),
+        (MeasureSpec.atomic_mixture([(3.0, 1.0)]), 0.1)])
+    r = run_sweep(spec, range(3, 9), SweepConfig(seed=1, n_samples=4000))
+    assert r.failures == {}
+    assert r.reference_capacity == pytest.approx(1.0, abs=1e-12)
+    assert r.weak_distances[-1] < r.weak_distances[0]
+
+
+def test_sweep_rejects_a_polar_support():
+    spec = MeasureSpec.atomic_mixture([(0j, 0.5), (1.0, 0.5)])
+    with pytest.raises(HypothesisViolation, match="polar"):
+        run_sweep(spec, [2, 3], SweepConfig(seed=1, n_samples=100))
 
 
 def test_report_json_round_trip(tmp_path, tiny_circle_report):

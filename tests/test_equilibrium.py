@@ -8,10 +8,10 @@ import pytest
 
 from brolinlab.equilibrium import (EquilibriumResult, equilibrium_measure,
                                    equilibrium_to_files, filled_hull,
-                                   frostman_check, green_outer,
-                                   reference_equilibrium, support_gridset)
+                                   frostman_check, reference_equilibrium,
+                                   support_gridset)
 from brolinlab.grids import (GridSet, Rectangle, rasterize_rectangle_outline)
-from brolinlab.measures import EmpiricalMeasure, MeasureSpec, energy
+from brolinlab.measures import EmpiricalMeasure, MeasureSpec, energy, potential
 
 # Capacity of the unit square, as a closed form in the quarter-integral
 # Gamma value: 2 * Gamma(1/4)^2 / (4 * pi^(3/2)).
@@ -129,18 +129,35 @@ def test_exhausted_iteration_budget_reports_no_convergence():
     assert e.iterations_run == 3
 
 
-def test_outer_green_function_on_the_circle():
+def test_circle_reference_potential_is_log_outside_and_flat_inside():
+    # U - I is the outer Green function: log|z| outside the unit circle, 0 inside
     e = reference_equilibrium(MeasureSpec.circle_uniform(), n_atoms=1024)
-    assert green_outer(e, 2.0 + 0j) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert green_outer(e, 0.3 + 0j) == pytest.approx(0.0, abs=1e-12)
-    vals = green_outer(e, np.array([4.0 + 0j, 0j]))
-    assert vals[0] == pytest.approx(math.log(4.0), abs=1e-12)
-    assert vals[1] == pytest.approx(0.0, abs=1e-12)
+    vals = potential(e.measure, np.array([2.0 + 0j, 0.3 + 0j, 4.0 + 0j, 0j])) - e.energy
+    np.testing.assert_allclose(vals, [math.log(2.0), 0.0, math.log(4.0), 0.0],
+                               rtol=0, atol=1e-12)
 
 
 def test_reference_equilibrium_dispatches_on_the_spec():
     e = reference_equilibrium(MeasureSpec.interval_density(-1.0, 1.0, "arcsine"))
     assert e.capacity == pytest.approx(0.5, abs=1e-13)
+
+
+CIRCLE = MeasureSpec.circle_uniform()
+
+
+@pytest.mark.parametrize("spec", [
+    MeasureSpec.mixture([(CIRCLE, 0.9), (MeasureSpec.atomic_mixture([(3.0, 1.0)]), 0.1)]),
+    MeasureSpec.mixture([(CIRCLE, 0.9), (MeasureSpec.atomic_mixture([(1.5j, 1.0)]), 0.1)]),
+    MeasureSpec.mixture([(CIRCLE, 1.0)]),
+], ids=["atom-at-3", "atom-at-1.5i", "one-circle-mixture"])
+def test_polar_pieces_carry_no_reference_mass(spec):
+    # finite sets are polar, so the reference is the unit circle's own
+    assert reference_equilibrium(spec).capacity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_polar_support_has_no_reference():
+    with pytest.raises(ValueError, match="polar"):
+        reference_equilibrium(MeasureSpec.atomic_mixture([(0j, 0.5), (1.0, 0.5)]))
 
 
 def test_mixture_support_is_the_union():

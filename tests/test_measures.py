@@ -12,10 +12,9 @@ from brolinlab.measures import (NEG_INF, Density, EmpiricalMeasure,
                                 MeasureSpec, MeasureSpecError,
                                 QuadratureMeasure, capacity_from_energy,
                                 default_node_count, empirical_from_csv,
-                                empirical_to_csv, energy, from_quadrature,
-                                make_quadrature, measure_schema, potential,
-                                quadrature_from_csv, quadrature_to_csv,
-                                validate_measure_dict)
+                                empirical_to_csv, energy, make_quadrature,
+                                measure_schema, potential, quadrature_from_csv,
+                                quadrature_to_csv, validate_measure_dict)
 
 # ---------------------------------------------------------------------------
 # spec construction and validation
@@ -150,6 +149,47 @@ def test_quadrature_measure_validation():
         QuadratureMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.4]))
 
 
+def _table_with_a_nan_node(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("re,im,weight\nnan,0.0,0.5\n1.0,0.0,0.5\n")
+    return make_quadrature(MeasureSpec.quadrature_table(path), 2)
+
+
+NAN_WEIGHTS = np.array([math.nan, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: MeasureSpec.atomic_mixture([(1.0, math.nan), (2.0, 0.5)]),
+    lambda tmp: MeasureSpec.mixture([(MeasureSpec.circle_uniform(), math.nan),
+                                     (MeasureSpec.circle_uniform(radius=2.0), 0.5)]),
+    lambda tmp: QuadratureMeasure(np.array([1.0, 2.0]), NAN_WEIGHTS),
+    lambda tmp: EmpiricalMeasure(np.array([1.0, 2.0]), NAN_WEIGHTS),
+    _table_with_a_nan_node,
+    lambda tmp: QuadratureMeasure(np.array([1.0, math.inf]), np.array([0.5, 0.5])),
+    lambda tmp: EmpiricalMeasure(np.array([math.nan, 1.0]), np.array([0.5, 0.5])),
+], ids=["atom-weight", "component-weight", "quadrature-weight",
+        "empirical-weight", "table-node", "quadrature-node", "empirical-point"])
+def test_non_finite_weights_and_points_are_rejected(build, tmp_path):
+    with pytest.raises(MeasureSpecError):
+        build(tmp_path)
+
+
+def test_polygon_hull_distance_of_an_atom_triangle():
+    spec = MeasureSpec.atomic_mixture([(0j, 0.25), (1.0, 0.25), (1j, 0.5)])
+    z = np.array([0.25 + 0.25j, -1.0, 1 + 1j, 2.0, -1 - 1j, 0.5 + 0.5j])
+    np.testing.assert_allclose(spec.hull_distance(z),
+                               [0.0, 1.0, math.sqrt(0.5), 1.0, math.sqrt(2.0), 0.0],
+                               rtol=0, atol=1e-14)
+
+
+def test_polygon_hull_distance_of_collinear_atoms():
+    spec = MeasureSpec.atomic_mixture([(0j, 0.25), (1 + 1j, 0.25), (2 + 2j, 0.5)])
+    z = np.array([2j, 1 + 1j, 3 + 3j, -1 + 0j, 0.5 + 0.5j])
+    np.testing.assert_allclose(spec.hull_distance(z),
+                               [math.sqrt(2.0), 0.0, math.sqrt(2.0), 1.0, 0.0],
+                               rtol=0, atol=1e-14)
+
+
 def test_default_node_count_floor_and_growth():
     assert default_node_count(4) == 256
     assert default_node_count(32) == 256
@@ -220,7 +260,7 @@ def test_gram_is_hermitian_psd_with_unit_mass(atoms):
 
 def test_circle_potential_closed_forms():
     q = make_quadrature(MeasureSpec.circle_uniform(), 256)
-    m = from_quadrature(q)
+    m = EmpiricalMeasure(q.nodes, q.weights)
     # prod over the 256th roots of unity: |2^256 - 1|^(1/256)
     expected_outside = math.log(2.0 ** 256 - 1.0) / 256
     assert potential(m, 2.0 + 0j) == pytest.approx(expected_outside, abs=5e-15)
@@ -229,13 +269,15 @@ def test_circle_potential_closed_forms():
 
 
 def test_potential_far_field_matches_log_abs():
-    m = from_quadrature(make_quadrature(MeasureSpec.circle_uniform(radius=2.0), 64))
+    q = make_quadrature(MeasureSpec.circle_uniform(radius=2.0), 64)
+    m = EmpiricalMeasure(q.nodes, q.weights)
     z = 1e6 + 1e6j
     assert potential(m, z) == pytest.approx(math.log(abs(z)), abs=1e-11)
 
 
 def test_potential_vectorized_matches_scalar():
-    m = from_quadrature(make_quadrature(MeasureSpec.circle_uniform(), 32))
+    q = make_quadrature(MeasureSpec.circle_uniform(), 32)
+    m = EmpiricalMeasure(q.nodes, q.weights)
     pts = np.array([2.0 + 0j, 1.5j, -3.0 + 1j])
     vals = potential(m, pts)
     for z, v in zip(pts, vals):
@@ -249,13 +291,15 @@ def test_two_atom_energy_is_log_distance():
 
 def test_circle_atom_energy_closed_form():
     n = 256
-    m = from_quadrature(make_quadrature(MeasureSpec.circle_uniform(), n))
+    q = make_quadrature(MeasureSpec.circle_uniform(), n)
+    m = EmpiricalMeasure(q.nodes, q.weights)
     # Renormalized pair sum over N equal atoms on the unit circle.
     assert energy(m) == pytest.approx(math.log(n) / (n - 1), rel=1e-12)
 
 
 def test_discrete_capacity_approaches_the_circle_radius():
-    m = from_quadrature(make_quadrature(MeasureSpec.circle_uniform(radius=2.0), 1024))
+    q = make_quadrature(MeasureSpec.circle_uniform(radius=2.0), 1024)
+    m = EmpiricalMeasure(q.nodes, q.weights)
     cap = capacity_from_energy(energy(m))
     assert abs(cap - 2.0) / 2.0 < 0.01
 

@@ -8,8 +8,7 @@ import pytest
 from brolinlab.measures import (Density, MeasureSpec, MeasureSpecError,
                                 QuadratureMeasure, make_quadrature)
 from brolinlab.orthopoly import (DegenerateQuadratureError, OrthoBasis,
-                                 basis_from_json, basis_to_json,
-                                 evaluate_poly, gamma_root_sequence,
+                                 basis_from_json, basis_to_json, horner,
                                  monic_minimality_check, orthonormal_basis,
                                  _arnoldi_float, _coeff_gram,
                                  _largest_ok_prefix, _ortho_residual)
@@ -63,15 +62,15 @@ def test_wide_interval_leading_coefficients_are_flat(arcsine_basis):
     assert b.gammas[0] == pytest.approx(1.0, abs=1e-13)
     np.testing.assert_allclose(b.gammas[1:], 1.0 / SQRT2, atol=1e-10)
     # Value at the right endpoint, where every scaled Chebyshev peak is sqrt(2).
-    assert evaluate_poly(b, 2, 2.0 + 0j) == pytest.approx(SQRT2, abs=1e-10)
-    assert evaluate_poly(b, 5, 2.0 + 0j) == pytest.approx(SQRT2, abs=1e-10)
+    assert horner(b.coeffs[2], 2.0 + 0j) == pytest.approx(SQRT2, abs=1e-10)
+    assert horner(b.coeffs[5], 2.0 + 0j) == pytest.approx(SQRT2, abs=1e-10)
 
 
 def test_flat_interval_leading_coefficients(legendre_basis):
     _, b = legendre_basis
     assert b.gammas[2] == pytest.approx(legendre_leading(2), rel=1e-12)
     assert b.gammas[12] == pytest.approx(legendre_leading(12), rel=1e-12)
-    roots = gamma_root_sequence(b)
+    roots = b.gammas[1:] ** (1 / np.arange(1, b.max_degree + 1))
     assert roots[11] == pytest.approx(1.964355783541036, abs=1e-9)
     assert np.all(np.diff(roots[3:]) > 0)
     assert roots[11] < 2.0
@@ -163,14 +162,12 @@ def test_the_113_bit_pass_reaches_beyond_float64():
     assert b.residual <= 1e-10
 
 
-def test_evaluate_poly_vectorizes(legendre_basis):
+def test_horner_vectorizes(legendre_basis):
     _, b = legendre_basis
     pts = np.array([0.3 + 0j, -0.7 + 0.1j, 1.0 + 0j])
-    vals = evaluate_poly(b, 5, pts)
+    vals = horner(b.coeffs[5], pts)
     for z, v in zip(pts, vals):
-        assert evaluate_poly(b, 5, complex(z)) == pytest.approx(v, abs=1e-14)
-    with pytest.raises(MeasureSpecError, match="outside"):
-        evaluate_poly(b, 13, 0j)
+        assert horner(b.coeffs[5], complex(z)) == pytest.approx(v, abs=1e-14)
 
 
 def test_basis_json_round_trip(tmp_path, arcsine_basis):

@@ -1,8 +1,10 @@
-"""Source hygiene: every module uses each name it imports.
+"""Source hygiene: every module uses each name it imports, and no module
+compares a measure kind.
 
-No linter ships with the package, so this test stands in for pyflakes'
-unused-import rule.  ``__init__.py`` is skipped: its imports are the
-package's public names.
+No linter ships with the package, so the first test stands in for pyflakes'
+unused-import rule.  ``__init__.py`` is skipped there: its imports are the
+package's public names.  The second keeps the measure kind behind the
+``measures._KINDS`` registry: each kind's behaviour lives in its class.
 """
 
 import ast
@@ -10,8 +12,8 @@ from pathlib import Path
 
 import brolinlab
 
-MODULES = sorted(p for p in Path(brolinlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(brolinlab.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,4 +37,24 @@ def test_modules_use_every_import():
     assert unused_imports(sample) == ["line 1: os", "line 2: t"]
     found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
              for p in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def kind_comparisons(source: str) -> list[str]:
+    def is_kind(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "kind")
+                or (isinstance(node, ast.Name) and node.id == "kind"))
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(is_kind(n) for n in (node.left, *node.comparators))]
+
+
+def test_no_module_compares_a_measure_kind():
+    sample = ("if spec.kind == 'circle':\n    pass\n"
+              "ok = 'mixture' != kind\n"
+              "KINDS = {cls.kind: cls for cls in classes}\n"
+              "same = spec.label or spec.kind\n")
+    assert kind_comparisons(sample) == ["line 1", "line 3"]
+    found = {p.name: kind_comparisons(p.read_text(encoding="utf-8"))
+             for p in SOURCES}
     assert {name: hits for name, hits in found.items() if hits} == {}
