@@ -22,7 +22,6 @@ from .measures import EmpiricalMeasure
 from .orthopoly import horner
 
 K_MAX_DEFAULT = 200
-GREEN_TOL_DEFAULT = 1e-10
 ROOT_TOL_DEFAULT = 1e-12
 BURN_IN_DEFAULT = 50
 CHAINS_DEFAULT = 64
@@ -102,76 +101,40 @@ def _log_switch(degree: int) -> float:
     return min(1e8, 10.0 ** (250.0 / degree))
 
 
-def green_value(p: PolyDyn, z: complex, k_max: int = K_MAX_DEFAULT,
-                tol: float = GREEN_TOL_DEFAULT) -> float:
-    """Escape-rate Green value at ``z``; 0 if no escape within k_max iterates.
+def green_value(p: PolyDyn, z):
+    """Escape-rate Green value at point(s) ``z``; 0 where no orbit escapes.
 
-    Iterates until the orbit is far outside the escape radius, then continues
-    the recursion on complex logarithms, where the remaining correction
-    series can be followed to full precision.
+    Returns a float for scalar ``z`` and a float array of the shape of ``z``
+    otherwise.
+    """
+    z_arr = np.asarray(z, dtype=complex)
+    values, _ = _escape(p, z_arr.ravel())
+    if z_arr.ndim == 0:
+        return float(values[0])
+    return values.reshape(z_arr.shape)
+
+
+def _escape(p: PolyDyn, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Green values and first escape iterates of the 1-d point array ``z``.
+
+    Iterates each orbit until it is far outside the escape radius, then
+    continues the recursion on complex logarithms, where the remaining
+    correction series can be followed to full precision.  The escape iterate
+    is the first exceeding R (0 = never within K_MAX_DEFAULT); the Green
+    value is 0 exactly on the points that never escape.
     """
     d, g = p.degree, p.gamma
     tail = math.log(abs(g)) / (d - 1)
     switch = _log_switch(d)
-    zz = complex(z)
-    prev = None
-    for k in range(1, k_max + 1):
-        zz = horner(p.coeffs, zz)
-        az = abs(zz)
-        if az > switch:
-            return _green_log_tail(p, zz, k, k_max, tail)
-        if az > p.radius:
-            est = (math.log(az) + tail) * math.exp(-k * math.log(d))
-            if prev is not None and abs(est - prev) < tol:
-                return max(est, 0.0)
-            prev = est
-    return 0.0 if prev is None else max(prev, 0.0)
+    n = z.size
 
-
-def _green_log_tail(p: PolyDyn, z_big: complex, k: int, k_max: int,
-                    tail: float) -> float:
-    d, g = p.degree, p.gamma
-    u = cmath.log(z_big)
-    log_g = cmath.log(g)
-    reduced = p.coeffs[:-1] / g
-    while k < k_max:
-        w = 0j
-        for i, ci in enumerate(reduced):
-            if ci != 0:
-                w += ci * cmath.exp((i - d) * u)
-        if abs(w) < 1e-18:
-            break
-        u = d * u + log_g + cmath.log(1 + w)
-        k += 1
-    est = (u.real + tail) * math.exp(-k * math.log(d))
-    return max(est, 0.0)
-
-
-def filled_julia_grid(p: PolyDyn, rect: Rectangle, resolution: int = 512,
-                      k_max: int = K_MAX_DEFAULT) -> GridField:
-    """Escape times and Green values over a pixel grid.
-
-    The rectangle must contain the escape disk D(0, R) so that the whole
-    filled set is visible.  escaped_at holds the first iterate exceeding R
-    (0 = never within k_max); values hold the Green estimates, 0 exactly on
-    the non-escaping pixels.
-    """
-    if not rect.contains_disk(0j, p.radius):
-        raise ValueError("grid rectangle must contain the escape-radius disk")
-    d, g = p.degree, p.gamma
-    tail = math.log(abs(g)) / (d - 1)
-    switch = _log_switch(d)
-    z0 = rect.pixel_centers(resolution, resolution)
-    ny, nx = z0.shape
-    n = z0.size
-
-    zz = z0.ravel().astype(complex)
+    zz = z.astype(complex)
     esc = np.zeros(n, dtype=np.int32)
     u_log = np.zeros(n, dtype=complex)   # complex log at freeze
     k_at = np.zeros(n, dtype=np.int32)
     frozen = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX_DEFAULT + 1):
         if active.size == 0:
             break
         za = horner(p.coeffs, zz[active])
@@ -190,29 +153,30 @@ def filled_julia_grid(p: PolyDyn, rect: Rectangle, resolution: int = 512,
     values = np.zeros(n, dtype=float)
     fr = np.where(frozen)[0]
     if fr.size:
-        values[fr] = _green_log_tail_vec(p, u_log[fr], k_at[fr], k_max, tail)
-    # escaped R but never crossed the log switch within k_max: estimate from
-    # the final iterate, kept strictly positive to preserve the invariant
+        values[fr] = _log_tail(p, u_log[fr], k_at[fr], tail)
+    # escaped R but never crossed the log switch within K_MAX_DEFAULT:
+    # estimate from the final iterate, kept strictly positive to preserve
+    # the invariant
     slow = np.where((esc > 0) & ~frozen)[0]
     if slow.size:
-        est = (np.log(np.abs(zz[slow])) + tail) * math.exp(-k_max * math.log(d))
+        est = ((np.log(np.abs(zz[slow])) + tail)
+               * math.exp(-K_MAX_DEFAULT * math.log(d)))
         values[slow] = np.maximum(est, 1e-300)
-    return GridField(rect, values.reshape(ny, nx), esc.reshape(ny, nx))
+    return values, esc
 
 
-def _green_log_tail_vec(p: PolyDyn, u: np.ndarray, k: np.ndarray,
-                        k_max: int, tail: float) -> np.ndarray:
+def _log_tail(p: PolyDyn, u: np.ndarray, k: np.ndarray,
+              tail: float) -> np.ndarray:
+    # u_{k+1} = d u_k + log gamma + log(1 + w), w = sum_i (a_i/gamma) v^(d-i)
+    # with v = exp(-u_k): a polynomial in v, evaluated by Horner's rule
     d, g = p.degree, p.gamma
     log_g = cmath.log(g)
-    reduced = p.coeffs[:-1] / g
+    w_coeffs = np.concatenate(([0], p.coeffs[-2::-1] / g))
     k = k.astype(np.int64).copy()
     u = u.copy()
-    for _ in range(k_max):
-        w = np.zeros(u.shape, dtype=complex)
-        for i, ci in enumerate(reduced):
-            if ci != 0:
-                w += ci * np.exp((i - d) * u)
-        live = (np.abs(w) >= 1e-18) & (k < k_max)
+    for _ in range(K_MAX_DEFAULT):
+        w = horner(w_coeffs, np.exp(-u))
+        live = (np.abs(w) >= 1e-18) & (k < K_MAX_DEFAULT)
         if not np.any(live):
             break
         u[live] = d * u[live] + log_g + np.log(1 + w[live])
@@ -221,17 +185,27 @@ def _green_log_tail_vec(p: PolyDyn, u: np.ndarray, k: np.ndarray,
     return np.maximum(est, 1e-300)
 
 
-def functional_equation_residual(p: PolyDyn, points,
-                                 k_max: int = K_MAX_DEFAULT,
-                                 tol: float = GREEN_TOL_DEFAULT) -> float:
+def filled_julia_grid(p: PolyDyn, rect: Rectangle,
+                      resolution: int = 512) -> GridField:
+    """Escape times and Green values over a pixel grid.
+
+    The rectangle must contain the escape disk D(0, R) so that the whole
+    filled set is visible.  escaped_at holds the first iterate exceeding R
+    (0 = never within K_MAX_DEFAULT); values hold the Green estimates, 0
+    exactly on the non-escaping pixels.
+    """
+    if not rect.contains_disk(0j, p.radius):
+        raise ValueError("grid rectangle must contain the escape-radius disk")
+    z0 = rect.pixel_centers(resolution, resolution)
+    values, esc = _escape(p, z0.ravel())
+    return GridField(rect, values.reshape(z0.shape), esc.reshape(z0.shape))
+
+
+def functional_equation_residual(p: PolyDyn, points) -> float:
     """max |g(P(z)) - d g(z)| over the given points."""
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    worst = 0.0
-    for z in pts:
-        g_z = green_value(p, z, k_max=k_max, tol=tol)
-        g_pz = green_value(p, horner(p.coeffs, z), k_max=k_max, tol=tol)
-        worst = max(worst, abs(g_pz - p.degree * g_z))
-    return worst
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    gap = green_value(p, p(z)) - p.degree * green_value(p, z)
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

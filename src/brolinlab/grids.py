@@ -184,8 +184,8 @@ def rasterize_points(points, rect: Rectangle, nx: int, ny: int) -> GridSet:
     """The pixels holding the given points; points off the grid are dropped."""
     z = np.asarray(points, dtype=complex)
     hx, hy = rect.spacing(nx, ny)
-    ix = ((z.real - rect.xmin) / hx).astype(int)
-    iy = ((z.imag - rect.ymin) / hy).astype(int)
+    ix = np.floor((z.real - rect.xmin) / hx).astype(int)
+    iy = np.floor((z.imag - rect.ymin) / hy).astype(int)
     ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
     mask = np.zeros((ny, nx), dtype=bool)
     mask[iy[ok], ix[ok]] = True

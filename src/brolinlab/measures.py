@@ -68,8 +68,10 @@ class Density:
         if self.name == "jacobi":
             if self.alpha is None or self.beta is None:
                 raise MeasureSpecError("jacobi density needs alpha and beta")
-            if self.alpha <= -1 or self.beta <= -1:
-                raise MeasureSpecError("jacobi exponents must exceed -1")
+            # written so that NaN fails: every comparison with NaN is False
+            if not all(-1 < e < math.inf for e in (self.alpha, self.beta)):
+                raise MeasureSpecError(
+                    "jacobi exponents must be finite and exceed -1")
         elif self.alpha is not None or self.beta is not None:
             raise MeasureSpecError(f"{self.name} density takes no exponents")
 

@@ -269,11 +269,29 @@ def test_thin_dust_reports_below_resolution():
     assert g.below_resolution
 
 
-def test_grid_green_values_match_the_scalar_rule():
-    rect = Rectangle(-2.2, 2.2, -2.2, 2.2)
-    g = filled_julia_grid(Z2, rect, 64)
-    centers = g.pixel_centers()
-    escaped = np.argwhere(g.escaped_at > 0)
-    for iy, ix in escaped[:: max(1, escaped.shape[0] // 7)]:
-        z = complex(centers[iy, ix])
-        assert g.values[iy, ix] == pytest.approx(green_value(Z2, z), abs=1e-10)
+def test_z2_grid_green_values_are_log_abs():
+    g = filled_julia_grid(Z2, Rectangle(-2.2, 2.2, -2.2, 2.2), 64)
+    escaped = g.escaped_at > 0
+    assert escaped.sum() > 3000
+    np.testing.assert_allclose(g.values[escaped],
+                               np.log(np.abs(g.pixel_centers()[escaped])),
+                               rtol=0, atol=1e-12)
+
+
+def test_chebyshev_grid_green_values_match_the_joukowski_inverse():
+    # z = w + 1/w maps |w| > 1 onto the outside of [-2, 2], and g(z) = log|w|;
+    # the two roots w = z/2 +- sqrt(z^2/4 - 1) have product 1.
+    g = filled_julia_grid(Z2_MINUS_2, Rectangle(-4.4, 4.4, -4.4, 4.4), 64)
+    z = g.pixel_centers()
+    root = np.sqrt(z * z / 4 - 1)
+    exact = np.log(np.maximum(np.abs(z / 2 + root), np.abs(z / 2 - root)))
+    np.testing.assert_allclose(g.values, exact, rtol=0, atol=1e-12)
+
+
+def test_green_value_takes_an_array():
+    # 2z^3 fills the disk of radius 2^(-1/2); outside it g = log|z| + log(2)/2.
+    z = np.outer([0.8, 1.5, 10.0], np.exp(2j * np.pi * np.arange(5) / 5))
+    values = green_value(TWO_Z3, z)
+    assert values.shape == z.shape
+    np.testing.assert_allclose(values, np.log(np.abs(z)) + 0.5 * math.log(2.0),
+                               rtol=0, atol=1e-12)

@@ -10,7 +10,8 @@ from brolinlab.equilibrium import (EquilibriumResult, equilibrium_measure,
                                    equilibrium_to_files, filled_hull,
                                    frostman_check, reference_equilibrium,
                                    support_gridset)
-from brolinlab.grids import (GridSet, Rectangle, rasterize_rectangle_outline)
+from brolinlab.grids import (GridSet, Rectangle, rasterize_disk,
+                             rasterize_rectangle_outline)
 from brolinlab.measures import EmpiricalMeasure, MeasureSpec, energy, potential
 
 # Capacity of the unit square, as a closed form in the quarter-integral
@@ -121,6 +122,23 @@ def test_solver_capacity_is_dilation_covariant():
     small = equilibrium_measure(square_hull(1.0, 256))
     big = equilibrium_measure(square_hull(2.0, 256))
     assert big.capacity == pytest.approx(2.0 * small.capacity, rel=1e-12)
+
+
+def test_solver_keeps_every_weight_positive_on_a_slit_disk():
+    # The unit disk with a slit two pixel rows wide from the centre to the
+    # rim.  The slit has no area, so the capacity stays 1; its two edges are
+    # boundary atoms that carry almost no mass (min weight ~4.5e-6), where an
+    # unconstrained linear solve of the same discrete problem goes negative.
+    rect = Rectangle(-2.0, 2.0, -2.0, 2.0)
+    disk = rasterize_disk(0j, 1.0, rect, 256, 256)
+    z = disk.pixel_centers()
+    h = rect.spacing(256, 256)[1]
+    gs = GridSet(rect, disk.mask & ~((np.abs(z.imag) < h) & (z.real > 0)))
+    e = equilibrium_measure(gs)
+    assert e.converged
+    assert frostman_check(e, gs).passed
+    assert np.all(e.measure.weights > 0)
+    assert abs(e.capacity - 1.0) <= 0.02
 
 
 def test_exhausted_iteration_budget_reports_no_convergence():

@@ -9,7 +9,8 @@ from brolinlab.equilibrium import filled_hull, outer_boundary_mask
 from brolinlab.grids import (GridField, GridSet, Rectangle, gridfield_to_csv,
                              gridset_from_files, gridset_to_files,
                              rasterize_circle, rasterize_disk,
-                             rasterize_rectangle_outline, rasterize_segment)
+                             rasterize_points, rasterize_rectangle_outline,
+                             rasterize_segment)
 
 RECT = Rectangle(-2.0, 2.0, -2.0, 2.0)
 
@@ -67,6 +68,17 @@ def test_gridset_contains_lookup():
     assert not bool(gs.contains(5.0 + 0j))  # outside the rectangle entirely
     np.testing.assert_array_equal(gs.contains(gs.masked_points()),
                                   np.ones(gs.mask.sum(), dtype=bool))
+
+
+def test_rasterized_points_agree_with_contains_near_every_edge():
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    assert not rasterize_points([-0.05 + 0.5j], rect, 10, 10).mask.any()
+    everywhere = GridSet(rect, np.ones((10, 10), dtype=bool))
+    near = [-0.05, -1e-9, 0.0, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0, 1.05]
+    for z in (complex(x, y) for x in near for y in near):
+        gs = rasterize_points([z], rect, 10, 10)
+        assert gs.mask.sum() == int(everywhere.contains(z)[0]), z
+        assert gs.contains(z)[0] == everywhere.contains(z)[0], z
 
 
 def test_hull_fills_an_outline_to_the_disk():

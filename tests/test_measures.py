@@ -167,8 +167,14 @@ NAN_WEIGHTS = np.array([math.nan, 0.5])
     _table_with_a_nan_node,
     lambda tmp: QuadratureMeasure(np.array([1.0, math.inf]), np.array([0.5, 0.5])),
     lambda tmp: EmpiricalMeasure(np.array([math.nan, 1.0]), np.array([0.5, 0.5])),
+    lambda tmp: MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", math.nan, 0.0)),
+    lambda tmp: MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", 0.0, math.nan)),
+    lambda tmp: MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", math.inf, 0.0)),
+    lambda tmp: MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", 0.0, math.inf)),
 ], ids=["atom-weight", "component-weight", "quadrature-weight",
-        "empirical-weight", "table-node", "quadrature-node", "empirical-point"])
+        "empirical-weight", "table-node", "quadrature-node", "empirical-point",
+        "jacobi-alpha-nan", "jacobi-beta-nan", "jacobi-alpha-inf",
+        "jacobi-beta-inf"])
 def test_non_finite_weights_and_points_are_rejected(build, tmp_path):
     with pytest.raises(MeasureSpecError):
         build(tmp_path)

@@ -1,9 +1,10 @@
-"""Source hygiene: every module uses each name it imports, and no module
-compares a measure kind.
+"""Source hygiene: every module uses each name it imports, every private
+name is used, and no module compares a measure kind.
 
 No linter ships with the package, so the first test stands in for pyflakes'
 unused-import rule.  ``__init__.py`` is skipped there: its imports are the
-package's public names.  The second keeps the measure kind behind the
+package's public names.  The second catches private helpers left behind
+when their last caller goes.  The third keeps the measure kind behind the
 ``measures._KINDS`` registry: each kind's behaviour lives in its class.
 """
 
@@ -38,6 +39,55 @@ def test_modules_use_every_import():
     found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
              for p in MODULES}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
+    """Module-level private functions, classes and constants of ``tree``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        found += [(node, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)}
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names that no statement but their own definition refers to."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    statements = [(stmt, referenced_names(stmt))
+                  for tree in trees.values() for stmt in tree.body]
+    return sorted(f"{name}: {private}"
+                  for name, tree in trees.items()
+                  for node, private in private_definitions(tree)
+                  if not any(private in refs for stmt, refs in statements
+                             if stmt is not node))
+
+
+def test_every_private_name_is_used():
+    sample = {"a.py": "def _dead():\n    return _dead()\n"
+                      "def _used():\n    pass\n"
+                      "class _Unused:\n    pass\n"
+                      "_LIMIT: int = 3\n_TABLE = {}\n",
+              "b.py": "from a import _used\nimport a\n"
+                      "def f():\n    return _used(), a._TABLE\n"}
+    assert unused_private_names(sample) == ["a.py: _LIMIT", "a.py: _Unused",
+                                            "a.py: _dead"]
+    found = unused_private_names({p.name: p.read_text(encoding="utf-8")
+                                  for p in SOURCES})
+    assert found == []
 
 
 def kind_comparisons(source: str) -> list[str]:
