@@ -14,12 +14,23 @@ def write_csv(path: str | Path, columns, rows,
     None as an empty cell; a non-empty ``header_comment`` becomes a first
     ``# `` line.  Convert NumPy arrays with ``tolist`` before passing them.
     """
+    write_csv_lines(path, columns,
+                    (",".join("" if v is None else repr(v) for v in row) + "\n"
+                     for row in rows), header_comment)
+
+
+def write_csv_lines(path: str | Path, columns, lines,
+                    header_comment: str | None = None) -> None:
+    """Write already formatted ``lines`` under a ``columns`` header.
+
+    Each item of ``lines`` is written as it is, so it carries its own
+    newlines; the ``# `` comment and header lines are as in :func:`write_csv`.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join("" if v is None else repr(v) for v in row) + "\n"
-                      for row in rows)
+        fh.writelines(lines)
 
 
 def read_json(path: str | Path):

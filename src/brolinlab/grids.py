@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import read_json, write_csv, write_json
+from ._io import read_json, write_csv_lines, write_json
 
 
 @dataclass(frozen=True)
@@ -228,15 +228,36 @@ def gridset_to_files(gs: GridSet, base: str | Path) -> None:
 
 
 def gridset_from_files(base: str | Path) -> GridSet:
+    """Read the mask written by :func:`gridset_to_files`.
+
+    <base>.pbm may be any plain PBM: ``#`` comments run to the end of their
+    line, and the raster bits may or may not be separated by whitespace.
+    Its width and height must match the ``nx`` and ``ny`` of <base>.json.
+    """
     base = Path(base)
     header = read_json(base.with_suffix(".json"))
-    with open(base.with_suffix(".pbm"), "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != "P1":
-            raise ValueError(f"expected P1 mask file, got {magic!r}")
-        nx, ny = (int(v) for v in fh.readline().split())
-        bits = fh.read().split()
-    mask = np.array([int(b) for b in bits], dtype=bool).reshape(ny, nx)
+    pbm = base.with_suffix(".pbm")
+    with open(pbm, "r", encoding="utf-8") as fh:
+        text = " ".join(line.split("#", 1)[0] for line in fh)
+    parts = text.split(maxsplit=3)
+    if not parts or parts[0] != "P1":
+        raise ValueError(f"{pbm}: expected a plain PBM (P1) mask file")
+    try:
+        nx, ny = int(parts[1]), int(parts[2])
+    except (IndexError, ValueError):
+        raise ValueError(f"{pbm}: P1 must be followed by the width and height "
+                         "as integers") from None
+    if [header.get("nx"), header.get("ny")] != [nx, ny]:
+        raise ValueError(f"{pbm} is {nx} x {ny} pixels, but its JSON header "
+                         f"says nx={header.get('nx')}, ny={header.get('ny')}")
+    bits = "".join(parts[3].split()) if len(parts) == 4 else ""
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"{pbm}: the raster may hold only 0, 1 and whitespace")
+    if len(bits) != nx * ny:
+        raise ValueError(f"{pbm}: the raster holds {len(bits)} bits, "
+                         f"not nx * ny = {nx * ny}")
+    raw = np.frombuffer(bits.encode("ascii"), np.uint8)
+    mask = raw.reshape(ny, nx) == ord("1")
     rect = Rectangle(*header["rectangle"])
     return GridSet(rect, mask, provenance=header.get("provenance", "custom"),
                    shape=_shape_from_json(header.get("shape")))
@@ -266,7 +287,17 @@ def _shape_from_json(data):
 
 def gridfield_to_csv(g: GridField, path: str | Path,
                      header_comment: str | None = None) -> None:
-    z = g.pixel_centers().ravel()
-    rows = zip(z.real.tolist(), z.imag.tolist(), g.values.ravel().tolist(),
-               g.escaped_at.ravel().tolist())
-    write_csv(path, ("x", "y", "green", "escaped_at"), rows, header_comment)
+    """Write one ``x,y,green,escaped_at`` line per pixel, row 0 first.
+
+    The cells are those ``_io.write_csv`` would write for the row-major
+    pixel rows; each distinct coordinate is formatted once, and one grid
+    row at a time is turned into text.
+    """
+    z = g.pixel_centers()
+    xs = [repr(x) for x in z[0].real.tolist()]
+    ys = [repr(y) for y in z[:, 0].imag.tolist()]
+    lines = ("".join(f"{x},{y},{v!r},{e}\n" for x, v, e
+                     in zip(xs, values.tolist(), escaped.tolist()))
+             for y, values, escaped in zip(ys, g.values, g.escaped_at))
+    write_csv_lines(path, ("x", "y", "green", "escaped_at"), lines,
+                    header_comment)

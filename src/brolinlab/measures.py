@@ -673,11 +673,12 @@ def energy(m: EmpiricalMeasure) -> float:
     # each pair once: the rows a..b of a tile against the columns a..n, with
     # the diagonal and the part below it masked in the leading square
     buf = np.empty(2 * min(_TILE, n) * n)
+    lower = np.tri(min(_TILE, n), dtype=bool)
     total = 0.0
     for a in range(0, n, _TILE):
         rows = min(_TILE, n - a)
         logs = _log_distances(pts[a:a + rows], pts[a:], buf)
-        logs[np.tril_indices(rows)] = 0.0
+        np.copyto(logs[:, :rows], 0.0, where=lower[:rows, :rows])
         total += float(w[a:a + rows] @ (logs @ w[a:]))
     return 2.0 * total / denom
 

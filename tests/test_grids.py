@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from brolinlab._io import write_csv
 from brolinlab.equilibrium import filled_hull, outer_boundary_mask
 from brolinlab.grids import (GridField, GridSet, Rectangle, gridfield_to_csv,
                              gridset_from_files, gridset_to_files,
@@ -142,16 +143,56 @@ def test_gridset_file_round_trip(tmp_path):
 
 
 def test_gridfield_csv_layout(tmp_path):
-    g = GridField(Rectangle(0.0, 1.0, 0.0, 1.0),
-                  np.array([[0.0, 1.5], [0.25, 0.0]]),
-                  np.array([[0, 3], [7, 0]], dtype=np.int32))
+    g = GridField(Rectangle(-1.0, 0.5, 0.0, 1.0),
+                  np.array([[0.0, 0.1, 1e-300], [2.5, 0.0, 1 / 3]]),
+                  np.array([[0, 7, 12], [200, 0, 7]], dtype=np.int32))
     path = tmp_path / "field.csv"
-    gridfield_to_csv(g, path, header_comment="resolution=2")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# resolution=2"
-    assert lines[1] == "x,y,green,escaped_at"
-    assert len(lines) == 6
-    first = lines[2].split(",")
-    assert float(first[0]) == pytest.approx(0.25)
-    assert float(first[1]) == pytest.approx(0.25)
-    assert first[3] == "0"
+    z = g.pixel_centers().ravel()
+    for comment in (None, "resolution=3x2"):
+        gridfield_to_csv(g, path, header_comment=comment)
+        lines = path.read_text().splitlines()
+        if comment is not None:
+            assert lines.pop(0) == f"# {comment}"
+        assert lines[0] == "x,y,green,escaped_at"
+        assert len(lines) == 7
+        first = lines[1].split(",")
+        assert float(first[0]) == pytest.approx(-0.75)
+        assert float(first[1]) == pytest.approx(0.25)
+        assert first[3] == "0"
+        # byte for byte what the generic writer makes of the row-major pixels
+        rows = zip(z.real.tolist(), z.imag.tolist(),
+                   g.values.ravel().tolist(), g.escaped_at.ravel().tolist())
+        write_csv(tmp_path / "reference.csv",
+                  ("x", "y", "green", "escaped_at"), rows, comment)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _mask_files(tmp_path, pbm_text):
+    gs = rasterize_disk(0j, 1.2, RECT, 6, 4)
+    gridset_to_files(gs, tmp_path / "set")
+    (tmp_path / "set.pbm").write_text(pbm_text)
+    return gs, tmp_path / "set"
+
+
+@pytest.mark.parametrize("pbm_text", [
+    "P1\n# written by hand\n6 4 # width height\n"
+    "0 0 0 0 0 0\n0 1 1 1 1 0\n# middle\n0 1 1 1 1 0\n0 0 0 0 0 0\n",
+    "P1\n6 4\n000000\n011110\n011110000000\n",
+    "P1 6 4 000000011110011110000000",
+], ids=["comments", "packed-rows", "one-line"])
+def test_gridset_reads_any_plain_pbm(tmp_path, pbm_text):
+    gs, base = _mask_files(tmp_path, pbm_text)
+    np.testing.assert_array_equal(gridset_from_files(base).mask, gs.mask)
+
+
+@pytest.mark.parametrize("pbm_text, message", [
+    ("P1\n6 4\n000000\n011110\n011110\n", "holds 18 bits, not nx \\* ny = 24"),
+    ("P1\n4 6\n" + "0" * 24 + "\n", "is 4 x 6 pixels, but its JSON header"),
+    ("P1\n6 4\n" + "0 2 " * 12 + "\n", "only 0, 1 and whitespace"),
+    ("P4\n6 4\n", "expected a plain PBM"),
+    ("P1\n6\n", "width and height"),
+], ids=["short-raster", "header-disagrees", "bad-bit", "raw-pbm", "no-height"])
+def test_gridset_rejects_a_malformed_pbm(tmp_path, pbm_text, message):
+    _, base = _mask_files(tmp_path, pbm_text)
+    with pytest.raises(ValueError, match=message):
+        gridset_from_files(base)

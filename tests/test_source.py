@@ -1,5 +1,6 @@
 """Source hygiene: every module uses each name it imports, every private
-name is used, and no module compares a measure kind.
+name is used, no module compares a measure kind, and importing the package
+leaves scipy.linalg unloaded.
 
 No linter ships with the package, so the first test stands in for pyflakes'
 unused-import rule.  ``__init__.py`` is skipped there: its imports are the
@@ -9,6 +10,8 @@ when their last caller goes.  The third keeps the measure kind behind the
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import brolinlab
@@ -108,3 +111,13 @@ def test_no_module_compares_a_measure_kind():
     found = {p.name: kind_comparisons(p.read_text(encoding="utf-8"))
              for p in SOURCES}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_importing_the_package_leaves_scipy_linalg_unloaded():
+    # the grid equilibrium imports its BLAS routine on first use: loading
+    # scipy.linalg costs every command-line call time and memory
+    code = "import sys, brolinlab; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          cwd=Path(brolinlab.__file__).parent.parent)
+    assert done.stdout.split() == ["False"]
