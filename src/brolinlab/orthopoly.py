@@ -7,13 +7,18 @@ are carried through the same recurrence, so each basis element is available
 both as node values and as an exact-degree coefficient vector with a real,
 strictly positive leading coefficient.
 
-Working precision escalates from float64 to one 113-bit mpmath pass when
-the orthonormality residual misses the tolerance.  It stops there: in a scan
-of 13 measures at degree 24 and five of them at degree 40 (tolerance 1e-10,
-default node counts; interval, circle, mixture and atomic measures), 256 and
-1024 bits never reached a higher degree than 113 bits, which beat float64 by
-1-2 degrees on 7 of the 13.  What limits the degree beyond that is the
-conditioning of the monomial coefficients.
+Working precision escalates from float64 to one double-double pass (about
+106 bits from pairs of float64, over all nodes at once) when the
+orthonormality residual misses the tolerance.  If both miss, the basis is cut
+to the longer prefix that meets it.  In a scan of 12 measures at degrees 24
+and 40 (tolerance 1e-10, default node counts; flat, arcsine and Jacobi
+intervals, circles, two disks, circle plus interval) the double-double pass
+reached the same degree as the test suite's 113-bit arbitrary-precision
+reference in all 24 cases, beat float64 by 1-3 degrees in 16 and fell one
+short of it once (arcsine [-2, 2] at degree 40, 19 against 20).  Earlier
+scans found that 256 and 1024 bits reach no higher degree than 113: what
+limits the degree beyond that is the conditioning of the monomial
+coefficients.
 """
 
 from __future__ import annotations
@@ -22,14 +27,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 from ._io import read_json, write_json
 from .measures import (MeasureSpecError, PrecisionExhaustedError,
                        QuadratureMeasure)
 
-PRECISION_BITS = (53, 113)
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEGREE = 64
 
@@ -47,7 +50,7 @@ class OrthoBasis:
     coefficient, real and strictly positive.  residual is the orthonormality
     defect max |<P_j, P_k> - delta_jk| of these double-precision coefficient
     vectors re-evaluated on the construction quadrature; precision_used is
-    the working precision (decimal digits) that met the tolerance.
+    the working precision (decimal digits) of the kept pass.
     """
 
     max_degree: int
@@ -77,9 +80,10 @@ def orthonormal_basis(q: QuadratureMeasure, max_degree: int,
     """Construct the orthonormal basis of ``q`` up to ``max_degree``.
 
     Escalates working precision until the orthonormality residual on the
-    construction quadrature is at most ``tol``.  If even the top precision
-    fails, the basis is truncated to the largest degree that met the
-    tolerance and flagged precision_exhausted (no degree at all raises
+    construction quadrature is at most ``tol``.  If every precision fails,
+    the basis is truncated to the longest prefix that met the tolerance at
+    any precision (the higher one on a tie, which ``precision_used``
+    reports) and flagged precision_exhausted (no degree at all raises
     :class:`~brolinlab.measures.PrecisionExhaustedError`).
     """
     if max_degree < 0:
@@ -91,22 +95,20 @@ def orthonormal_basis(q: QuadratureMeasure, max_degree: int,
         raise DegenerateQuadratureError("fewer nodes than basis elements")
 
     best = None
-    for bits in PRECISION_BITS:
-        if bits == 53:
-            coeffs = _arnoldi_float(q.nodes, q.weights, max_degree)
-        else:
-            coeffs = _arnoldi_mp(q.nodes, q.weights, max_degree, bits)
+    for bits, arnoldi in ((53, _arnoldi_float), (106, _arnoldi_dd)):
+        coeffs = arnoldi(q.nodes, q.weights, max_degree)
         # the residual grades the deliverable: double-precision coefficient
         # vectors re-evaluated at the nodes, not the internal basis columns
         gram = _coeff_gram(coeffs, q.nodes, q.weights)
         residual = _ortho_residual(gram)
-        best = (coeffs, gram, residual, bits)
         if residual <= tol:
             return OrthoBasis(max_degree=max_degree, coeffs=coeffs,
                               gammas=np.array([c[-1].real for c in coeffs]),
                               residual=residual, precision_used=_digits(bits))
-    coeffs, gram, residual, bits = best
-    safe = _largest_ok_prefix(gram, tol)
+        safe = _largest_ok_prefix(gram, tol)
+        if best is None or safe >= best[0]:  # a tie keeps the higher rung
+            best = (safe, coeffs, gram, residual, bits)
+    safe, coeffs, gram, residual, bits = best
     if safe < 0:
         raise PrecisionExhaustedError(
             f"orthonormality residual {residual:.3e} exceeds {tol:.3e} "
@@ -161,39 +163,129 @@ def _arnoldi_float(nodes, weights, max_degree):
     return coeffs
 
 
-def _arnoldi_mp(nodes, weights, max_degree, bits):
-    """mpmath backend at ``bits`` of precision; same contract as the float path."""
-    with mpmath.workprec(bits):
-        mpc, mpf = mpmath.mpc, mpmath.mpf
-        zs = [mpc(z.real, z.imag) for z in nodes]
-        ws = [mpf(w) for w in weights]
-        m = len(zs)
-        qcols: list[list] = []
-        coeff_vecs: list[list] = []
-        for n in range(max_degree + 1):
-            if n == 0:
-                v = [mpc(1)] * m
-                c = [mpc(1)]
-            else:
-                v = [zs[i] * qcols[n - 1][i] for i in range(m)]
-                c = [mpc(0)] + list(coeff_vecs[n - 1])
-            for _ in range(2):
-                for k in range(n):
-                    qk = qcols[k]
-                    h = mpmath.fsum(ws[i] * v[i] * mpmath.conj(qk[i])
-                                    for i in range(m))
-                    for i in range(m):
-                        v[i] -= h * qk[i]
-                    ck = coeff_vecs[k]
-                    for j in range(k + 1):
-                        c[j] -= h * ck[j]
-            norm = mpmath.sqrt(mpmath.fsum(ws[i] * abs(v[i]) ** 2 for i in range(m)))
-            if norm == 0:
-                raise DegenerateQuadratureError(
-                    f"column {n} collapsed during orthogonalization")
-            qcols.append([v[i] / norm for i in range(m)])
-            coeff_vecs.append([cj / norm for cj in c])
-        return [np.array([complex(cj) for cj in vec]) for vec in coeff_vecs]
+# Double-double arithmetic (Dekker, Numer. Math. 18, 1971; Hida, Li and
+# Bailey's QD library, ARITH-15, 2001): a real is the unevaluated sum
+# x[0] + x[1] of two float64 arrays, about 106 bits from IEEE double
+# operations alone.  A complex array stacks its real and imaginary parts on
+# the axis after hi/lo, so every real operation acts on both at once.
+
+_SPLITTER = 2.0 ** 27 + 1.0
+
+
+def _two_sum(a, b):
+    """s, e with s = fl(a + b) and s + e == a + b exactly."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    """p, e with p = fl(a * b) and p + e == a * b exactly (Dekker's split)."""
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _renorm(s, e):
+    """Fast two-sum, exact when |s| >= |e|."""
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    t, f = _two_sum(x[1], y[1])
+    s, e = _renorm(s, e + t)
+    return _renorm(s, e + f)
+
+
+def _dd_neg(x):
+    return -x[0], -x[1]
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _renorm(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_div(x, y):
+    q1 = x[0] / y[0]
+    r = _dd_add(x, _dd_mul(y, (-q1, 0.0)))
+    q2 = r[0] / y[0]
+    r = _dd_add(r, _dd_mul(y, (-q2, 0.0)))
+    return _dd_add(_renorm(q1, q2), (r[0] / y[0], 0.0))
+
+
+def _dd_sqrt(x):
+    s = math.sqrt(x[0])
+    p, e = _two_prod(s, s)
+    return _renorm(s, ((x[0] - p) - e + x[1]) / (2.0 * s))
+
+
+def _dd_sum(x, axis):
+    """Pairwise double-double sum of ``x`` along ``axis`` of its parts."""
+    hi, lo = np.moveaxis(x[0], axis, 0), np.moveaxis(x[1], axis, 0)
+    while hi.shape[0] > 1:
+        if hi.shape[0] % 2:
+            hi = np.concatenate([hi, np.zeros_like(hi[:1])])
+            lo = np.concatenate([lo, np.zeros_like(lo[:1])])
+        half = hi.shape[0] // 2
+        hi, lo = _dd_add((hi[:half], lo[:half]), (hi[half:], lo[half:]))
+    return hi[0], lo[0]
+
+
+def _cmul(x, y):
+    """Complex double-double product; ``y`` broadcasts against ``x``."""
+    a = _dd_mul(x, (y[0][:1], y[1][:1]))  # x * re y
+    b = _dd_mul(x, (y[0][1:], y[1][1:]))  # x * im y
+    return _dd_add(a, tuple(np.stack([-p[1], p[0]]) for p in b))  # a + i b
+
+
+def _cconj(x):
+    return tuple(np.stack([p[0], -p[1]]) for p in x)
+
+
+def _arnoldi_dd(nodes, weights, max_degree):
+    """Double-double backend over all nodes at once; same contract as the
+    float path, with coefficients rounded to complex128 at the end."""
+    m = nodes.size
+    n_col = max_degree + 1
+    z = (np.stack([nodes.real, nodes.imag]), np.zeros((2, m)))
+    w = (np.asarray(weights, dtype=float), np.zeros(m))
+    # (hi/lo, re/im, column, node) and (hi/lo, re/im, column, power)
+    qcols = np.zeros((2, 2, n_col, m))
+    coeffs = np.zeros((2, 2, n_col, n_col))
+    for n in range(n_col):
+        if n == 0:
+            v = np.zeros((2, 2, m))
+            v[0, 0] = 1.0
+            c = np.zeros((2, 2, n_col))
+            c[0, 0, 0] = 1.0
+        else:
+            v = _cmul(z, qcols[:, :, n - 1])
+            c = np.zeros((2, 2, n_col))
+            c[:, :, 1:] = coeffs[:, :, n - 1, :-1]
+        for _ in range(2 if n else 0):  # second pass reorthogonalizes
+            q = qcols[:, :, :n]
+            wv = tuple(p[:, None] for p in _dd_mul(v, w))
+            proj = _dd_sum(_cmul(_cconj(q), wv), axis=2)
+            proj = tuple(p[..., None] for p in proj)
+            v = _dd_add(v, _dd_neg(_dd_sum(_cmul(q, proj), axis=1)))
+            c = _dd_add(c, _dd_neg(_dd_sum(_cmul(coeffs[:, :, :n], proj), axis=1)))
+        sq = _dd_mul(w, _dd_mul(v, v))
+        norm2 = _dd_sum((sq[0].ravel(), sq[1].ravel()), axis=0)
+        if not 0.0 < norm2[0] < math.inf:
+            raise DegenerateQuadratureError(
+                f"column {n} collapsed during orthogonalization")
+        norm = _dd_sqrt(norm2)
+        qcols[:, :, n] = _dd_div(v, norm)
+        coeffs[:, :, n] = _dd_div(c, norm)
+    return [coeffs[0, 0, n, :n + 1] + 1j * coeffs[0, 1, n, :n + 1]
+            for n in range(n_col)]
 
 
 def horner(coeffs, z):

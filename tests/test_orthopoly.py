@@ -1,7 +1,10 @@
 """Orthonormal bases: closed-form coefficients, truncation, minimality."""
 
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,8 +13,9 @@ from brolinlab.measures import (Density, MeasureSpec, MeasureSpecError,
 from brolinlab.orthopoly import (DegenerateQuadratureError, OrthoBasis,
                                  basis_from_json, basis_to_json, horner,
                                  monic_minimality_check, orthonormal_basis,
-                                 _arnoldi_float, _coeff_gram,
-                                 _largest_ok_prefix, _ortho_residual)
+                                 _arnoldi_dd, _arnoldi_float, _coeff_gram,
+                                 _largest_ok_prefix, _ortho_residual,
+                                 _two_prod, _two_sum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,12 +148,12 @@ def test_clustered_nodes_exhaust_the_precision_ladder():
     b = orthonormal_basis(q, 8)
     assert b.precision_exhausted
     assert b.max_degree == 0
-    assert b.precision_used == 34
+    assert b.precision_used == 32
     np.testing.assert_allclose(b.gammas, [1.0])
     assert b.residual == 0.0
 
 
-def test_the_113_bit_pass_reaches_beyond_float64():
+def test_the_double_double_pass_reaches_beyond_float64():
     spec = MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", 2.0, 2.0))
     q = make_quadrature(spec, 256)
     float_coeffs = _arnoldi_float(q.nodes, q.weights, 24)
@@ -158,8 +162,92 @@ def test_the_113_bit_pass_reaches_beyond_float64():
     b = orthonormal_basis(q, 24, tol=1e-10)
     assert b.precision_exhausted
     assert b.max_degree == 23
-    assert b.precision_used == 34
+    assert b.precision_used == 32
     assert b.residual <= 1e-10
+
+
+def test_the_ladder_keeps_the_longest_prefix():
+    # float64 reaches degree 21 here and double-double only 20
+    q = make_quadrature(MeasureSpec.interval_density(-1.0, 1.0, "lebesgue"), 384)
+    b = orthonormal_basis(q, 48, tol=1e-10)
+    assert b.precision_exhausted
+    assert b.max_degree == 21
+    assert b.precision_used == 16
+    assert b.residual <= 1e-10
+
+
+def _arnoldi_mp(nodes, weights, max_degree, bits=113):
+    """mpmath reference for the double-double pass: the same recurrence one
+    scalar at a time (modified Gram-Schmidt within each pass)."""
+    with mpmath.workprec(bits):
+        mpc, mpf = mpmath.mpc, mpmath.mpf
+        zs = [mpc(z.real, z.imag) for z in nodes]
+        ws = [mpf(w) for w in weights]
+        m = len(zs)
+        qcols: list[list] = []
+        coeff_vecs: list[list] = []
+        for n in range(max_degree + 1):
+            if n == 0:
+                v = [mpc(1)] * m
+                c = [mpc(1)]
+            else:
+                v = [zs[i] * qcols[n - 1][i] for i in range(m)]
+                c = [mpc(0)] + list(coeff_vecs[n - 1])
+            for _ in range(2):
+                for k in range(n):
+                    qk = qcols[k]
+                    h = mpmath.fsum(ws[i] * v[i] * mpmath.conj(qk[i])
+                                    for i in range(m))
+                    for i in range(m):
+                        v[i] -= h * qk[i]
+                    ck = coeff_vecs[k]
+                    for j in range(k + 1):
+                        c[j] -= h * ck[j]
+            norm = mpmath.sqrt(mpmath.fsum(ws[i] * abs(v[i]) ** 2 for i in range(m)))
+            if norm == 0:
+                raise DegenerateQuadratureError(
+                    f"column {n} collapsed during orthogonalization")
+            qcols.append([v[i] / norm for i in range(m)])
+            coeff_vecs.append([cj / norm for cj in c])
+        return [np.array([complex(cj) for cj in vec]) for vec in coeff_vecs]
+
+
+@pytest.mark.parametrize("spec", [
+    MeasureSpec.interval_density(-1.0, 1.0, Density("jacobi", 2.0, 2.0)),
+    MeasureSpec.circle_uniform(0.5 + 0j),
+], ids=["jacobi-2-2", "circle-at-half"])
+def test_the_double_double_pass_matches_the_mpmath_reference(spec):
+    q = make_quadrature(spec, 256)
+    dd = _arnoldi_dd(q.nodes, q.weights, 24)
+    ref = _arnoldi_mp(q.nodes, q.weights, 24)
+
+    def prefix(coeffs):
+        return _largest_ok_prefix(_coeff_gram(coeffs, q.nodes, q.weights), 1e-10)
+
+    assert prefix(dd) == prefix(ref)
+    for c, r in zip(dd, ref):
+        # real and imaginary parts that are zero in exact arithmetic are
+        # rounding noise in both
+        big = np.abs(r.view(float)) > 1e-12 * np.abs(r).max()
+        np.testing.assert_array_equal(c.view(float)[big], r.view(float)[big])
+
+
+def test_two_sum_and_two_prod_are_exact():
+    rng = random.Random(7)
+    for _ in range(400):
+        # decimal exponents: the split needs |x| < 1e300, and the product's
+        # error term must stay above the subnormal range
+        ea = rng.uniform(-300.0, 300.0)
+        eb = rng.uniform(max(-300.0, -280.0 - ea), min(300.0, 280.0 - ea))
+        a = rng.choice((-1.0, 1.0)) * 10.0 ** ea
+        b = rng.choice((-1.0, 1.0)) * 10.0 ** eb
+        for x, y in ((a, b), (a, a * rng.uniform(-2.0, 2.0))):
+            s, e = _two_sum(x, y)
+            assert s == x + y
+            assert Fraction(s) + Fraction(e) == Fraction(x) + Fraction(y)
+        p, e = _two_prod(a, b)
+        assert p == a * b
+        assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
 
 def test_horner_vectorizes(legendre_basis):

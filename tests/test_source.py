@@ -1,6 +1,6 @@
 """Source hygiene: every module uses each name it imports, every private
 name is used, no module compares a measure kind, and importing the package
-leaves scipy.linalg unloaded.
+leaves scipy.linalg and mpmath unloaded.
 
 No linter ships with the package, so the first test stands in for pyflakes'
 unused-import rule.  ``__init__.py`` is skipped there: its imports are the
@@ -117,6 +117,16 @@ def test_importing_the_package_leaves_scipy_linalg_unloaded():
     # the grid equilibrium imports its BLAS routine on first use: loading
     # scipy.linalg costs every command-line call time and memory
     code = "import sys, brolinlab; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          cwd=Path(brolinlab.__file__).parent.parent)
+    assert done.stdout.split() == ["False"]
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    # the extended-precision basis pass is double-double arithmetic on numpy
+    # arrays; mpmath is a test and benchmark dependency only
+    code = "import sys, brolinlab; print('mpmath' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60,
                           cwd=Path(brolinlab.__file__).parent.parent)
