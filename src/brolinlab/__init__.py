@@ -31,6 +31,6 @@ from .orthopoly import (DegenerateQuadratureError, MinimalityReport,
                         OrthoBasis, basis_from_json, basis_to_json,
                         monic_minimality_check, orthonormal_basis)
 from .testfunctions import (AnnularBump, RadialBump, TestFunctionSet,
-                            WindowFunction, default_test_functions)
+                            default_test_functions)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,10 +20,10 @@ from .convergence import (HypothesisViolation, SweepConfig, probe_ring,
                           run_sweep)
 from .dynamics import (PolyDyn, RootSolveError, brolin_sample, capacity_julia,
                        filled_julia_grid, functional_equation_residual)
-from .equilibrium import equilibrium_measure, equilibrium_to_files
+from .equilibrium import (equilibrium_measure, equilibrium_to_files,
+                          reference_equilibrium)
 from .grids import (Rectangle, gridfield_to_csv, gridset_from_files,
-                    rasterize_circle, rasterize_rectangle_outline,
-                    rasterize_segment)
+                    rasterize_rectangle_outline)
 from .measures import (MeasureSpec, MeasureSpecError, PrecisionExhaustedError,
                        default_node_count, empirical_to_csv, make_quadrature)
 from .orthopoly import basis_to_json, orthonormal_basis
@@ -78,11 +78,15 @@ def cmd_measure_validate(args) -> int:
     return EXIT_OK
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_CLI_DEGREE:
+        raise MeasureSpecError(f"degree {degree} exceeds the supported "
+                               f"maximum of {MAX_CLI_DEGREE}")
+
+
 def cmd_ortho(args) -> int:
     spec = MeasureSpec.from_json(args.measure)
-    if args.degree > MAX_CLI_DEGREE:
-        raise MeasureSpecError(f"degree {args.degree} exceeds the supported "
-                               f"maximum of {MAX_CLI_DEGREE}")
+    _check_degree(args.degree)
     nodes = args.nodes or default_node_count(args.degree)
     q = make_quadrature(spec, nodes)
     b = orthonormal_basis(q, args.degree, tol=args.tol)
@@ -103,6 +107,7 @@ def cmd_ortho(args) -> int:
 
 def cmd_dyn(args) -> int:
     spec = MeasureSpec.from_json(args.measure)
+    _check_degree(args.degree)
     nodes = args.nodes or default_node_count(args.degree)
     q = make_quadrature(spec, nodes)
     b = orthonormal_basis(q, args.degree, tol=args.tol)
@@ -154,31 +159,26 @@ def _padded_rect(xmin, xmax, ymin, ymax) -> Rectangle:
 
 
 def cmd_eq(args) -> int:
-    res = args.resolution
+    spec = None
     if args.mask:
         gs = gridset_from_files(args.mask)
     elif args.shape == "circle":
-        cx, cy = _parse_pair(args.center)
-        c = complex(cx, cy)
-        rect = _padded_rect(cx - args.radius, cx + args.radius,
-                            cy - args.radius, cy + args.radius)
-        gs = rasterize_circle(c, args.radius, rect, res, res)
+        spec = MeasureSpec.circle_uniform(complex(*_parse_pair(args.center)),
+                                          args.radius)
     elif args.shape == "interval":
-        a, b = _parse_pair(args.endpoints)
-        if not a < b:
-            raise MeasureSpecError("endpoints must satisfy a < b")
-        rect = _padded_rect(a, b, (a - b) / 2, (b - a) / 2)
-        gs = rasterize_segment(complex(a, 0), complex(b, 0), rect, res, res)
+        spec = MeasureSpec.interval_density(*_parse_pair(args.endpoints))
     elif args.shape == "square":
         cx, cy = _parse_pair(args.center)
         h = args.side / 2
         rect = _padded_rect(cx - h, cx + h, cy - h, cy + h)
-        gs = rasterize_rectangle_outline(cx - h, cx + h, cy - h, cy + h,
-                                         rect, res, res)
+        gs = rasterize_rectangle_outline(cx - h, cx + h, cy - h, cy + h, rect,
+                                         args.resolution, args.resolution)
     else:
         raise MeasureSpecError("one of --mask or --shape is required")
-    e = equilibrium_measure(gs, iterations=args.iterations, tol=args.tol,
-                            n_atoms=args.atoms)
+    if spec is not None:  # the measure kind knows the closed form
+        e = reference_equilibrium(spec, n_atoms=args.atoms)
+    else:
+        e = equilibrium_measure(gs, iterations=args.iterations, tol=args.tol)
     out = _out_dir(args)
     equilibrium_to_files(e, out / "equilibrium",
                          f"shape={args.shape or 'mask'} atoms={e.measure.size}")
@@ -324,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, default=1024,
                    help="atom count of the circle and interval closed forms; "
                         "other shapes get one atom per boundary pixel")
-    p.add_argument("--resolution", type=int, default=512)
+    p.add_argument("--resolution", type=int, default=512,
+                   help="grid path only, as are --iterations and --tol")
     p.add_argument("--iterations", type=int, default=4000)
     p.add_argument("--tol", type=float, default=2e-3)
     p.add_argument("--out", default=None)

@@ -199,9 +199,7 @@ VERDICT_NAMES = ("gamma_root", "capacity", "energy", "weak_convergence",
 # in column order; report.csv puts the degree itself first.
 PER_DEGREE_FIELDS = (
     ("gamma_roots", "gamma_root"),
-    ("cap_nth_root", "cap_nth_root"),
     ("cap_julia", "cap_julia"),
-    ("energies", "energy"),
     ("sample_energies", "sample_energy"),
     ("sample_energy_ses", "sample_energy_se"),
     ("weak_distances", "weak_distance"),
@@ -220,16 +218,14 @@ class ConvergenceReport:
 
     All sequences are indexed by ``degrees``; entries are None for degrees
     whose stage failed (the failure message is kept in ``failures``).
-    energies[i] is log cap_julia[i]; sample_energies are the independent
-    estimates from the sampled measures.
+    sample_energies estimate log cap_julia independently, from the sampled
+    measures.
     """
 
     label: str
     degrees: list[int]
     gamma_roots: list[float]
-    cap_nth_root: list[float]
     cap_julia: list[float]
-    energies: list[float]
     sample_energies: list[float | None]
     sample_energy_ses: list[float | None]
     weak_distances: list[float | None]
@@ -270,7 +266,8 @@ def report_to_json(report: ConvergenceReport, path: str | Path) -> None:
 
 def report_from_json(path: str | Path) -> ConvergenceReport:
     data = read_json(path)
-    data.pop("identity_max_dev", None)  # a field of reports from older versions
+    for old in ("identity_max_dev", "cap_nth_root", "energies"):
+        data.pop(old, None)  # fields of reports from older versions
     data["failures"] = {int(k): v for k, v in data.get("failures", {}).items()}
     return ConvergenceReport(**data)
 
@@ -370,10 +367,11 @@ def run_sweep(spec: MeasureSpec, degrees=None,
     ref = reference_equilibrium(spec, n_atoms=config.reference_atoms)
     cap_ref = ref.capacity
 
-    hull = filled_hull(support_gridset(spec, resolution=config.hull_resolution))
     r_contain = 1.05 * spec.support_radius()
-    region = None
+    region = hull = None
     if config.mass_region is not None:
+        hull = filled_hull(support_gridset(spec,
+                                           resolution=config.hull_resolution))
         center, radius = config.mass_region
         region = rasterize_disk(complex(center), float(radius), hull.rect,
                                 hull.nx, hull.ny)
@@ -413,11 +411,10 @@ def run_sweep(spec: MeasureSpec, degrees=None,
         base = max(base, 1.02 * float(np.abs(omega.points - c0).max()))
     probes = [probe_ring(c0, f * base, config.probe_ring_count)
               for f in config.probe_ring_factors]
-    # circles add a ring inside the disk, where the equilibrium potential
-    # is flat
-    if hull.shape is not None and hull.shape[0] == "circle":
-        _, center, radius = hull.shape
-        probes.append(probe_ring(center, 0.5 * radius, 8))
+    # a ring inside the support, where the equilibrium potential is flat
+    ring = spec.interior_ring()
+    if ring is not None:
+        probes.append(probe_ring(*ring, 8))
     probe_points = np.concatenate(probes)
 
     preimage_targets = np.concatenate([
@@ -436,9 +433,7 @@ def run_sweep(spec: MeasureSpec, degrees=None,
         p, omega = results[n]
         g = basis.gammas[n]
         row["gamma_roots"] = float(g ** (1.0 / n))
-        row["cap_nth_root"] = float(g ** (-1.0 / n))
-        cap = row["cap_julia"] = capacity_julia(p)
-        row["energies"] = math.log(cap)
+        row["cap_julia"] = capacity_julia(p)
         try:
             row["sample_energies"], row["sample_energy_ses"] = _sampled_energy(omega)
             row["weak_distances"] = weak_star_distance(omega, ref.measure, probe_points)

@@ -2,8 +2,9 @@
 
 The energy maximizer lives on the outer boundary of the filled set, carries
 constant potential there, and its exponentiated energy is the capacity.
-Named circles and intervals take closed-form fast paths; everything else is
-solved by multiplicative weight updates on the outer boundary pixels.
+A mask is solved by multiplicative weight updates on its outer boundary
+pixels; the reference equilibrium of a measure whose kind knows the closed
+form (circles, intervals) takes that instead.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from .measures import (_TILE, EmpiricalMeasure, MeasureSpec, NEG_INF,
                        _log_distances, _tiles, capacity_from_energy,
                        empirical_to_csv, energy)
 
-THETA_DEFAULT = 0.5
+THETA = 0.5
 SPREAD_TOL_DEFAULT = 2e-3
 ITERATIONS_DEFAULT = 4000
 FROSTMAN_TOL_DEFAULT = 0.02
-ATOMS_DEFAULT = 1024
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _BLOCK = np.ones((3, 3), dtype=bool)
@@ -46,7 +46,7 @@ def filled_hull(gs: GridSet) -> GridSet:
                                      labels[:, 0], labels[:, -1]]))
     edge = edge[edge != 0]
     exterior = np.isin(labels, edge)
-    return GridSet(gs.rect, ~exterior, provenance=gs.provenance, shape=gs.shape)
+    return GridSet(gs.rect, ~exterior)
 
 
 def outer_boundary_mask(hull: GridSet) -> np.ndarray:
@@ -114,27 +114,15 @@ def _log_spacing(atoms: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
-                        tol: float = SPREAD_TOL_DEFAULT,
-                        theta: float = THETA_DEFAULT,
-                        n_atoms: int = ATOMS_DEFAULT) -> EquilibriumResult:
+                        tol: float = SPREAD_TOL_DEFAULT) -> EquilibriumResult:
     """Equilibrium measure of the set described by ``gs``.
 
-    Named circle and interval shapes bypass optimization (``n_atoms``
-    uniform atoms on the circle, ``n_atoms`` arcsine atoms on the interval,
-    closed-form energies).  The grid path ignores ``n_atoms``: it places one
-    atom on each outer boundary pixel of the filled hull and runs
-    multiplicative updates w_i <- w_i exp(theta (p_i - I_bar)), renormalizing
+    Places one atom on each outer boundary pixel of the filled hull and runs
+    multiplicative updates w_i <- w_i exp(THETA (p_i - I_bar)), renormalizing
     each sweep, until the potential spread over the atoms drops below
     ``tol``.  Non-convergence within ``iterations`` returns the
     partial result flagged converged=False.
     """
-    if gs.shape is not None and gs.shape[0] == "circle":
-        _, center, radius = gs.shape
-        return _circle_closed_form(center, radius, n_atoms, tol)
-    if gs.shape is not None and gs.shape[0] == "interval":
-        _, a, b = gs.shape
-        return _interval_closed_form(a, b, n_atoms, tol)
-
     hull = filled_hull(gs)
     boundary = outer_boundary_mask(hull)
     atoms = hull.pixel_centers()[boundary]
@@ -168,7 +156,7 @@ def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
             converged = True
             break
         ibar = float(w @ pvals)
-        w = w * np.exp(theta * (pvals - ibar))
+        w = w * np.exp(THETA * (pvals - ibar))
         w /= w.sum()
         pvals = dsymv(1.0, logd.T, w)
     measure = EmpiricalMeasure(atoms, w, provenance="equilibrium")
@@ -178,36 +166,6 @@ def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
                              capacity=capacity_from_energy(e),
                              frostman_defect=defect, converged=converged,
                              iterations_run=it)
-
-
-def _circle_closed_form(center: complex, radius: float, n_atoms: int,
-                        tol: float) -> EquilibriumResult:
-    k = np.arange(n_atoms)
-    atoms = center + radius * np.exp(2j * np.pi * k / n_atoms)
-    w = np.full(n_atoms, 1.0 / n_atoms)
-    measure = EmpiricalMeasure(atoms, w, provenance="equilibrium")
-    e = math.log(radius)
-    pvals = _regularized_potential(measure, atoms)
-    defect = float(np.abs(pvals - e).max()) - tol
-    return EquilibriumResult(measure=measure, energy=e, capacity=radius,
-                             frostman_defect=defect, converged=True,
-                             iterations_run=0)
-
-
-def _interval_closed_form(a: float, b: float, n_atoms: int,
-                          tol: float) -> EquilibriumResult:
-    k = np.arange(1, n_atoms + 1)
-    nodes = (a + b) / 2 + (b - a) / 2 * np.cos((2 * k - 1) * np.pi / (2 * n_atoms))
-    atoms = nodes[::-1].astype(complex)
-    w = np.full(n_atoms, 1.0 / n_atoms)
-    measure = EmpiricalMeasure(atoms, w, provenance="equilibrium")
-    e = math.log((b - a) / 4.0)
-    pvals = _regularized_potential(measure, atoms)
-    defect = float(np.abs(pvals - e).max()) - tol
-    return EquilibriumResult(measure=measure, energy=e,
-                             capacity=(b - a) / 4.0,
-                             frostman_defect=defect, converged=True,
-                             iterations_run=0)
 
 
 @dataclass(frozen=True)
@@ -222,45 +180,19 @@ def frostman_check(e: EquilibriumResult, s: GridSet,
                    tol_frostman: float = FROSTMAN_TOL_DEFAULT) -> FrostmanReport:
     """Check the constant-potential property of ``e`` over the pixels of ``s``.
 
-    Pixel centers are snapped onto the ideal set when the grid carries shape
-    metadata (a half-pixel offset already shows the positive exterior Green
-    values near thin sets, which is not what the property is about).  Points
-    coinciding with atoms get the smeared self term, the same quantity the
-    solver drives flat.  Passes iff the values stay inside [I - tol, I + tol].
+    Points coinciding with atoms get the smeared self term, the same
+    quantity the solver drives flat.  Passes iff the values stay inside
+    [I - tol, I + tol].
     """
     pts = s.masked_points()
     if pts.size == 0:
         raise ValueError("empty mask")
-    pts = _snap_to_shape(pts, s.shape)
     pvals = _regularized_potential(e.measure, pts)
     lo = float(pvals.min() - e.energy)
     hi = float(pvals.max() - e.energy)
     return FrostmanReport(min_on_set=lo, max_on_set=hi,
                           lower_bound_defect=max(0.0, -lo),
                           passed=(lo >= -tol_frostman and hi <= tol_frostman))
-
-
-def _snap_to_shape(pts: np.ndarray, shape) -> np.ndarray:
-    if shape is None:
-        return pts
-    if shape[0] == "circle":
-        _, c, r = shape
-        d = pts - c
-        mag = np.abs(d)
-        safe = np.where(mag == 0, 1.0, mag)
-        return c + r * np.where(mag == 0, 1.0, d / safe)
-    if shape[0] == "interval":
-        _, a, b = shape
-        return np.clip(pts.real, a, b).astype(complex)
-    if shape[0] == "disk":
-        _, c, r = shape
-        d = pts - c
-        mag = np.abs(d)
-        out = pts.copy()
-        far = mag > r
-        out[far] = c + r * d[far] / mag[far]
-        return out
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +215,24 @@ def reference_equilibrium(spec: MeasureSpec, n_atoms: int = 2048,
     """Equilibrium measure of the support of ``spec.non_polar()``.
 
     Polar pieces (atoms) carry no equilibrium mass, so they are dropped.
-    Circles and intervals reach the closed forms through the shape that
-    :func:`support_gridset` records (any interval density has the full
-    interval as support, hence the arcsine reference); other kinds go
-    through the grid solver on the rasterized support.
+    A kind that knows its closed form gives ``n_atoms`` atoms and the exact
+    capacity, with the Frostman defect measured against the default band;
+    every other support goes through the grid solver on its rasterization.
     """
     support = spec.non_polar()
     if support is None:
         raise ValueError("a polar support has no equilibrium measure")
-    return equilibrium_measure(support_gridset(support, resolution=resolution),
-                               n_atoms=n_atoms)
+    closed = support.closed_form_equilibrium(n_atoms)
+    if closed is None:
+        return equilibrium_measure(support_gridset(support, resolution=resolution))
+    points, weights, capacity = closed
+    measure = EmpiricalMeasure(points, weights, provenance="equilibrium")
+    e = math.log(capacity)
+    pvals = _regularized_potential(measure, points)
+    defect = float(np.abs(pvals - e).max()) - SPREAD_TOL_DEFAULT
+    return EquilibriumResult(measure=measure, energy=e, capacity=capacity,
+                             frostman_defect=defect, converged=True,
+                             iterations_run=0)
 
 
 def equilibrium_to_files(e: EquilibriumResult, base: str | Path,

@@ -52,17 +52,10 @@ class Rectangle:
 
 @dataclass
 class GridSet:
-    """Boolean pixel mask for a compact planar set.
-
-    provenance is 'named-shape', 'julia-grid', or 'custom'; shape carries the
-    closed-form parameters for named shapes, e.g. ('circle', center, radius)
-    or ('interval', a, b) or ('disk', center, radius).
-    """
+    """Boolean pixel mask for a compact planar set."""
 
     rect: Rectangle
     mask: np.ndarray
-    provenance: str = "custom"
-    shape: tuple | None = None
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -149,18 +142,14 @@ def rasterize_circle(center: complex, radius: float, rect: Rectangle,
     """Thin ring of pixels tracing the circle |z - center| = radius."""
     z = rect.pixel_centers(nx, ny)
     tol = 0.5 * _pixel_diag(rect, nx, ny)
-    mask = np.abs(np.abs(z - center) - radius) <= tol
-    return GridSet(rect, mask, provenance="named-shape",
-                   shape=("circle", complex(center), float(radius)))
+    return GridSet(rect, np.abs(np.abs(z - center) - radius) <= tol)
 
 
 def rasterize_disk(center: complex, radius: float, rect: Rectangle,
                    nx: int, ny: int) -> GridSet:
     """Filled disk |z - center| <= radius."""
     z = rect.pixel_centers(nx, ny)
-    mask = np.abs(z - center) <= radius
-    return GridSet(rect, mask, provenance="named-shape",
-                   shape=("disk", complex(center), float(radius)))
+    return GridSet(rect, np.abs(z - center) <= radius)
 
 
 def rasterize_segment(a: complex, b: complex, rect: Rectangle,
@@ -172,12 +161,7 @@ def rasterize_segment(a: complex, b: complex, rect: Rectangle,
     t = np.clip(((z - a) * np.conj(ab)).real / length2, 0.0, 1.0)
     dist = np.abs(z - (a + t * ab))
     tol = 0.5 * _pixel_diag(rect, nx, ny)
-    mask = dist <= tol
-    shape = None
-    if a.imag == 0 and b.imag == 0:
-        lo, hi = sorted((a.real, b.real))
-        shape = ("interval", lo, hi)
-    return GridSet(rect, mask, provenance="named-shape", shape=shape)
+    return GridSet(rect, dist <= tol)
 
 
 def rasterize_points(points, rect: Rectangle, nx: int, ny: int) -> GridSet:
@@ -202,7 +186,7 @@ def rasterize_rectangle_outline(xmin: float, xmax: float, ymin: float,
     for i in range(4):
         seg = rasterize_segment(corners[i], corners[(i + 1) % 4], rect, nx, ny)
         mask |= seg.mask
-    return GridSet(rect, mask, provenance="custom", shape=None)
+    return GridSet(rect, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +204,7 @@ def gridset_to_files(gs: GridSet, base: str | Path) -> None:
         "rectangle": gs.rect.to_list(),
         "nx": gs.nx,
         "ny": gs.ny,
-        "provenance": gs.provenance,
         "row_order": "ymin-first",
-        "shape": _shape_to_json(gs.shape),
     }
     write_json(base.with_suffix(".json"), header)
 
@@ -232,7 +214,9 @@ def gridset_from_files(base: str | Path) -> GridSet:
 
     <base>.pbm may be any plain PBM: ``#`` comments run to the end of their
     line, and the raster bits may or may not be separated by whitespace.
-    Its width and height must match the ``nx`` and ``ny`` of <base>.json.
+    Its width and height must match the ``nx`` and ``ny`` of <base>.json;
+    other header keys, such as the ``shape`` and ``provenance`` of older
+    headers, are ignored.
     """
     base = Path(base)
     header = read_json(base.with_suffix(".json"))
@@ -258,31 +242,7 @@ def gridset_from_files(base: str | Path) -> GridSet:
                          f"not nx * ny = {nx * ny}")
     raw = np.frombuffer(bits.encode("ascii"), np.uint8)
     mask = raw.reshape(ny, nx) == ord("1")
-    rect = Rectangle(*header["rectangle"])
-    return GridSet(rect, mask, provenance=header.get("provenance", "custom"),
-                   shape=_shape_from_json(header.get("shape")))
-
-
-def _shape_to_json(shape):
-    if shape is None:
-        return None
-    name = shape[0]
-    if name in ("circle", "disk"):
-        return [name, [shape[1].real, shape[1].imag], shape[2]]
-    if name == "interval":
-        return [name, shape[1], shape[2]]
-    return None
-
-
-def _shape_from_json(data):
-    if not data:
-        return None
-    name = data[0]
-    if name in ("circle", "disk"):
-        return (name, complex(data[1][0], data[1][1]), float(data[2]))
-    if name == "interval":
-        return (name, float(data[1]), float(data[2]))
-    return None
+    return GridSet(Rectangle(*header["rectangle"]), mask)
 
 
 def gridfield_to_csv(g: GridField, path: str | Path,

@@ -137,9 +137,23 @@ class MeasureSpec:
         return 1
 
     def non_polar(self) -> "MeasureSpec | None":
-        """The measure restricted to its non-polar pieces and renormalized;
-        None when the whole support is polar (finite sets are)."""
+        """A measure whose support is the non-polar part of this one's.
+
+        Polar pieces (finite sets) are dropped and the rest renormalized; a
+        mixture's real intervals that overlap or touch become one interval.
+        None when the whole support is polar.
+        """
         return self
+
+    def closed_form_equilibrium(self, n_atoms: int):
+        """(points, weights, capacity) of the equilibrium measure of the
+        support in closed form, or None where only the grid solver knows it."""
+        return None
+
+    def interior_ring(self) -> tuple[complex, float] | None:
+        """(center, radius) of a circle inside the filled support, where the
+        equilibrium potential is flat; None where there is none to offer."""
+        return None
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) box containing the support."""
@@ -212,6 +226,12 @@ class CircleUniform(MeasureSpec):
         nodes = self.center + self.radius * np.exp(2j * np.pi * k / node_count)
         return nodes, np.full(node_count, 1.0 / node_count)
 
+    def closed_form_equilibrium(self, n_atoms: int):
+        return (*self.nodes(n_atoms), self.radius)
+
+    def interior_ring(self) -> tuple[complex, float]:
+        return self.center, 0.5 * self.radius
+
     def hull_points(self) -> np.ndarray:
         return self.nodes(256)[0]
 
@@ -252,6 +272,13 @@ class IntervalDensity(MeasureSpec):
         a, b = self.endpoints
         t, w = _interval_rule(self.density, node_count)
         return ((a + b) / 2 + (b - a) / 2 * t).astype(complex), w
+
+    def closed_form_equilibrium(self, n_atoms: int):
+        # every density has the whole interval as support, and the
+        # equilibrium measure of [a, b] is the arcsine law (Ransford 1995)
+        a, b = self.endpoints
+        arcsine = IntervalDensity(self.endpoints, Density("arcsine"))
+        return (*arcsine.nodes(n_atoms), (b - a) / 4.0)
 
     def hull_points(self) -> np.ndarray:
         return np.array(self.endpoints, dtype=complex)
@@ -322,8 +349,14 @@ class Mixture(MeasureSpec):
         return 1 + max(sub.mixture_depth() for sub, _ in self.components)
 
     def non_polar(self) -> MeasureSpec | None:
-        parts = [(sub.non_polar(), w) for sub, w in self.components]
-        parts = [(sub, w) for sub, w in parts if sub is not None]
+        parts = []
+        for sub, w in self.components:
+            piece = sub.non_polar()
+            if isinstance(piece, Mixture):  # spliced in, for the merge
+                parts += [(s, w * v) for s, v in piece.components]
+            elif piece is not None:
+                parts.append((piece, w))
+        parts = _merge_real_intervals(parts)
         if len(parts) <= 1:
             return parts[0][0] if parts else None
         total = sum(w for _, w in parts)
@@ -372,6 +405,24 @@ class QuadratureTable(MeasureSpec):
 
     def hull_points(self) -> np.ndarray:
         return self.nodes(1)[0]
+
+
+def _merge_real_intervals(parts):
+    """Fold the intervals among the (spec, weight) ``parts`` that overlap or
+    touch into one interval each, carrying their summed weight."""
+    spans = sorted((sub.endpoints, w) for sub, w in parts
+                   if isinstance(sub, IntervalDensity))
+    runs = []
+    for (a, b), w in spans:
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], b)
+            runs[-1][2] += w
+        else:
+            runs.append([a, b, w])
+    if len(runs) == len(spans):
+        return parts
+    return ([(sub, w) for sub, w in parts if not isinstance(sub, IntervalDensity)]
+            + [(MeasureSpec.interval_density(a, b), w) for a, b, w in runs])
 
 
 _KINDS = {cls.kind: cls for cls in (CircleUniform, IntervalDensity,

@@ -111,31 +111,10 @@ class AnnularBump:
 
 
 @dataclass(frozen=True)
-class WindowFunction:
-    """Named polynomial observable restricted to a bounded window."""
-
-    name: str
-    window_halfwidth: float
-
-    def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.name == "re":
-            return z.real
-        if self.name == "im":
-            return z.imag
-        if self.name == "abs2":
-            return np.abs(z) ** 2
-        if self.name == "re_z2":
-            return (z ** 2).real
-        raise ValueError(f"unknown window function {self.name!r}")
-
-
-@dataclass(frozen=True)
 class TestFunctionSet:
-    """Bump functions for pairing checks plus polynomial observables."""
+    """Bump functions for pairing checks."""
 
     bumps: tuple = ()
-    windows: tuple = ()
 
     def __post_init__(self):
         for b in self.bumps:
@@ -151,26 +130,13 @@ class TestFunctionSet:
                 return b
         raise KeyError(name)
 
-    def window(self, name: str):
-        for w in self.windows:
-            if w.name == name:
-                return w
-        raise KeyError(name)
-
 
 def default_test_functions(center: complex = 0j, scale: float = 1.0) -> TestFunctionSet:
-    """A central bump, an annular bump straddling |z - c| = scale, and the
-    standard polynomial observables."""
+    """A central bump and an annular bump straddling |z - c| = scale."""
     return TestFunctionSet(
         bumps=(
             RadialBump(center=center, rho=scale, power=4, name="central"),
             AnnularBump(center=center, r0=scale, halfwidth=0.4 * scale,
                         power=4, name="annular"),
-        ),
-        windows=(
-            WindowFunction("re", 2 * scale),
-            WindowFunction("im", 2 * scale),
-            WindowFunction("abs2", 2 * scale),
-            WindowFunction("re_z2", 2 * scale),
         ),
     )

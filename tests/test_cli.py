@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -111,6 +112,17 @@ def test_dyn_grid_output(tmp_path):
     assert len(green) == 64 * 64 + 2
 
 
+@pytest.mark.parametrize("command", ["ortho", "dyn"])
+def test_a_degree_above_the_maximum_is_rejected_before_the_basis(tmp_path,
+                                                                 command):
+    measure = write_json(tmp_path / "circle.json", CIRCLE)
+    res = run_cli(command, "--measure", measure, "--degree", 65,
+                  "--out", tmp_path / "out")
+    assert res.returncode == EXIT_INVALID
+    assert "maximum of 64" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_dyn_rejects_degree_one(tmp_path):
     measure = write_json(tmp_path / "circle.json", CIRCLE)
     res = run_cli("dyn", "--measure", measure, "--degree", 1,
@@ -191,6 +203,21 @@ def test_report_rerenders_the_same_csv(lab_runs):
                   "--out", root / "render")
     assert res.returncode == EXIT_OK
     assert ((root / "render" / "report.csv").read_bytes()
+            == (root / "run1" / "report.csv").read_bytes())
+
+
+def test_report_rerenders_an_old_format_report(lab_runs):
+    # older reports carried three more per-degree fields, each restating
+    # another one; the reader drops them
+    root, _, _ = lab_runs
+    data = json.loads((root / "run1" / "report.json").read_text())
+    data["cap_nth_root"] = [1.0 / g for g in data["gamma_roots"]]
+    data["energies"] = [math.log(c) for c in data["cap_julia"]]
+    data["identity_max_dev"] = [0.0] * len(data["degrees"])
+    old = write_json(root / "old-report.json", data)
+    res = run_cli("report", "--report", old, "--out", root / "render-old")
+    assert res.returncode == EXIT_OK
+    assert ((root / "render-old" / "report.csv").read_bytes()
             == (root / "run1" / "report.csv").read_bytes())
 
 

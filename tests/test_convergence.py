@@ -259,7 +259,7 @@ def test_report_csv_layout(tmp_path, tiny_circle_report):
     report_to_csv(tiny_circle_report, path, header_comment="seed=11")
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=11"
-    assert lines[1].startswith("degree,gamma_root,cap_nth_root,cap_julia,")
+    assert lines[1].startswith("degree,gamma_root,cap_julia,sample_energy,")
     assert len(lines) == 4
     cells = lines[2].split(",")
     header = lines[1].split(",")

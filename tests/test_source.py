@@ -1,12 +1,15 @@
 """Source hygiene: every module uses each name it imports, every private
-name is used, no module compares a measure kind, and importing the package
-leaves scipy.linalg and mpmath unloaded.
+name is used, no module compares a measure kind or names a measure kind's
+class outside ``measures.py``, and importing the package leaves
+scipy.linalg and mpmath unloaded.
 
 No linter ships with the package, so the first test stands in for pyflakes'
 unused-import rule.  ``__init__.py`` is skipped there: its imports are the
 package's public names.  The second catches private helpers left behind
-when their last caller goes.  The third keeps the measure kind behind the
-``measures._KINDS`` registry: each kind's behaviour lives in its class.
+when their last caller goes.  The third and fourth keep the measure kind
+behind the ``measures._KINDS`` registry: each kind's behaviour lives in its
+class, and kind dispatch can come back neither through a string comparison
+nor through ``isinstance``.
 """
 
 import ast
@@ -15,6 +18,7 @@ import sys
 from pathlib import Path
 
 import brolinlab
+from brolinlab.measures import MeasureSpec
 
 SOURCES = sorted(Path(brolinlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -110,6 +114,37 @@ def test_no_module_compares_a_measure_kind():
     assert kind_comparisons(sample) == ["line 1", "line 3"]
     found = {p.name: kind_comparisons(p.read_text(encoding="utf-8"))
              for p in SOURCES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def class_uses(source: str, names: set[str]) -> list[str]:
+    """Lines of ``source`` that name, import or look up one of ``names``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            hits.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(hits)]
+
+
+def test_no_module_but_measures_names_a_measure_kind_class():
+    kinds = {cls.__name__ for cls in MeasureSpec.__subclasses__()}
+    assert {"CircleUniform", "IntervalDensity", "Mixture"} <= kinds
+    sample = ("from .measures import MeasureSpec, Mixture\n"
+              "if isinstance(spec, measures.CircleUniform):\n    pass\n"
+              "spec = MeasureSpec.mixture(parts)\n"
+              "ring = spec.interior_ring()\n")
+    assert class_uses(sample, {"CircleUniform", "Mixture"}) == [
+        "line 1: Mixture", "line 2: CircleUniform"]
+    found = {p.name: class_uses(p.read_text(encoding="utf-8"), kinds)
+             for p in SOURCES if p.name != "measures.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brolinlab import testfunctions as tf
-from brolinlab.testfunctions import (AnnularBump, RadialBump, WindowFunction,
+from brolinlab.testfunctions import (AnnularBump, RadialBump,
                                      default_test_functions)
 
 
@@ -66,26 +66,13 @@ def test_bump_validation():
         AnnularBump(center=0j, r0=1.0, halfwidth=0.4, power=1)
 
 
-def test_window_functions():
-    z = np.array([1 + 2j, -3 + 0.5j])
-    assert np.allclose(WindowFunction("re", 2.0).value(z), [1.0, -3.0])
-    assert np.allclose(WindowFunction("im", 2.0).value(z), [2.0, 0.5])
-    assert np.allclose(WindowFunction("abs2", 2.0).value(z), [5.0, 9.25])
-    assert np.allclose(WindowFunction("re_z2", 2.0).value(z), [-3.0, 8.75])
-    with pytest.raises(ValueError, match="unknown"):
-        WindowFunction("arg", 2.0).value(z)
-
-
 def test_default_set_lookup():
     fs = default_test_functions(center=0.5j, scale=2.0)
     assert fs.bump("central").support_center == 0.5j
     assert fs.bump("central").support_radius == 2.0
     assert fs.bump("annular").support_radius == pytest.approx(2.8)
-    assert fs.window("abs2").name == "abs2"
     with pytest.raises(KeyError):
         fs.bump("missing")
-    with pytest.raises(KeyError):
-        fs.window("missing")
 
 
 class _Shim:
