@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 invalid input or a failed experiment hypothesis,
-2 numeric budget exhausted (precision or iteration limits), 3 solver failure.
+2 numeric budget exhausted (the precision ladder, or a grid equilibrium solve
+that stops at its step cap), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def cmd_eq(args) -> int:
     if spec is not None:  # the measure kind knows the closed form
         e = reference_equilibrium(spec, n_atoms=args.atoms)
     else:
-        e = equilibrium_measure(gs, iterations=args.iterations, tol=args.tol)
+        e = equilibrium_measure(gs)
     out = _out_dir(args)
     equilibrium_to_files(e, out / "equilibrium",
                          f"shape={args.shape or 'mask'} atoms={e.measure.size}")
@@ -325,9 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="atom count of the circle and interval closed forms; "
                         "other shapes get one atom per boundary pixel")
     p.add_argument("--resolution", type=int, default=512,
-                   help="grid path only, as are --iterations and --tol")
-    p.add_argument("--iterations", type=int, default=4000)
-    p.add_argument("--tol", type=float, default=2e-3)
+                   help="grid path only")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eq)
 

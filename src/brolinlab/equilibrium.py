@@ -2,31 +2,31 @@
 
 The energy maximizer lives on the outer boundary of the filled set, carries
 constant potential there, and its exponentiated energy is the capacity.
-A mask is solved by multiplicative weight updates on its outer boundary
-pixels; the reference equilibrium of a measure whose kind knows the closed
-form (circles, intervals) takes that instead.
+A mask is solved exactly on its outer boundary pixels, dropping the atoms
+that would carry negative mass; the reference equilibrium of a measure whose
+kind knows the closed form (circles, intervals) takes that instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
+from . import measures
 from ._io import write_json
 from .grids import GridSet, Rectangle
 from .measures import (_TILE, EmpiricalMeasure, MeasureSpec, NEG_INF,
                        _log_distances, _tiles, capacity_from_energy,
-                       empirical_to_csv, energy)
+                       empirical_to_csv)
 
-THETA = 0.5
-SPREAD_TOL_DEFAULT = 2e-3
-ITERATIONS_DEFAULT = 4000
+energy = measures.energy  # bench/tracer.py wraps this name
 FROSTMAN_TOL_DEFAULT = 0.02
-
+_CG_RTOL = 1e-12  # conjugate gradients stop at ||r|| <= _CG_RTOL * ||1||
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _BLOCK = np.ones((3, 3), dtype=bool)
 
@@ -61,16 +61,14 @@ class EquilibriumResult:
     """Discrete equilibrium measure with its energy diagnostics.
 
     measure: atoms on the outer boundary of the set; energy: discrete
-    logarithmic energy I; capacity = exp(I); frostman_defect: max |p - I|
-    over the atoms minus the tolerance band used at construction (negative
-    means the potential is flat within the band); converged: whether the
-    potential spread met its target within the iteration budget.
+    logarithmic energy I; capacity = exp(I); converged: whether the grid
+    solve met its residual and the KKT conditions (always true for a closed
+    form); iterations_run: conjugate gradient steps (0 for a closed form).
     """
 
     measure: EmpiricalMeasure
     energy: float
     capacity: float
-    frostman_defect: float
     converged: bool
     iterations_run: int
 
@@ -113,19 +111,17 @@ def _log_spacing(atoms: np.ndarray) -> np.ndarray:
     return out
 
 
-def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
-                        tol: float = SPREAD_TOL_DEFAULT) -> EquilibriumResult:
+def equilibrium_measure(gs: GridSet) -> EquilibriumResult:
     """Equilibrium measure of the set described by ``gs``.
 
-    Places one atom on each outer boundary pixel of the filled hull and runs
-    multiplicative updates w_i <- w_i exp(THETA (p_i - I_bar)), renormalizing
-    each sweep, until the potential spread over the atoms drops below
-    ``tol``.  Non-convergence within ``iterations`` returns the
-    partial result flagged converged=False.
+    One atom per outer boundary pixel of the filled hull; the discrete
+    energy w'Lw is maximized exactly.  Flat potential Lw = I on the free
+    atoms is M x = 1 with M = c 11' - L, w = x / sum(x), I = c - 1 / sum(x).
+    Atoms with w <= 0 are dropped and dropped atoms with potential above I
+    re-admitted; the KKT conditions hold once that leaves the set unchanged.
     """
     hull = filled_hull(gs)
-    boundary = outer_boundary_mask(hull)
-    atoms = hull.pixel_centers()[boundary]
+    atoms = hull.pixel_centers()[outer_boundary_mask(hull)]
     nb = atoms.size
     if nb < 2:
         raise ValueError("set boundary is below grid resolution")
@@ -133,39 +129,56 @@ def equilibrium_measure(gs: GridSet, iterations: int = ITERATIONS_DEFAULT,
     for start, logs in _tiles(_log_distances, atoms, atoms):
         logd[start:start + _TILE] = logs
     np.fill_diagonal(logd, np.inf)
-    log_spacing = logd.min(axis=1)
     # each atom stands for a boundary piece of length ~ its node spacing;
     # the potential a segment of length L exerts on its own midpoint is
     # log(L/(2e)), which regularizes the otherwise -inf self term and keeps
     # the discrete energy an honest stand-in for the continuous one
-    np.fill_diagonal(logd, log_spacing - math.log(2.0) - 1.0)
-
-    # logd is exactly symmetric ((a - b)^2 == (b - a)^2 in floating point,
-    # and the diagonal is set above), so the symmetric matvec reads one
-    # triangle: half the memory traffic of logd @ w.  logd.T is the
-    # F-contiguous view BLAS takes without a copy.  Imported here because
-    # scipy.linalg is heavy and nothing else in the package needs it.
+    np.fill_diagonal(logd, logd.min(axis=1) - math.log(2.0) - 1.0)
+    # every entry of M is >= 1, as no two points of the rectangle lie farther
+    # apart than its diagonal, and a dilation shifts L and c alike
+    c = 1.0 + math.log(math.hypot(*hull.rect.spacing(1, 1)))
+    # logd is exactly symmetric ((a - b)^2 == (b - a)^2 in floating point),
+    # so the symmetric matvec reads one triangle: half the memory traffic of
+    # logd @ w.  logd.T is the F-contiguous view BLAS takes without a copy.
+    # Imported here: scipy.linalg is heavy and nothing else needs it.
     from scipy.linalg.blas import dsymv
-    w = np.full(nb, 1.0 / nb)
-    converged = False
-    it = 0
-    pvals = dsymv(1.0, logd.T, w)
-    for it in range(1, iterations + 1):
-        spread = float(pvals.max() - pvals.min())
-        if spread < tol:
-            converged = True
-            break
-        ibar = float(w @ pvals)
-        w = w * np.exp(THETA * (pvals - ibar))
-        w /= w.sum()
-        pvals = dsymv(1.0, logd.T, w)
-    measure = EmpiricalMeasure(atoms, w, provenance="equilibrium")
-    e = energy(measure)
-    defect = float(np.abs(pvals - e).max()) - tol
+    lmul = partial(dsymv, 1.0, logd.T)
+    free, seen, steps, solved = np.ones(nb, dtype=bool), set(), 0, True
+    while solved and free.tobytes() not in seen:
+        seen.add(free.tobytes())
+        x, k, solved = _conjugate_gradients(lmul, c, free)
+        steps += k
+        total = float(x.sum())
+        e = c - 1.0 / total
+        last, free = free, (x > 0) | (~free & (lmul(x / total) > e))
+    keep = x > 0
+    measure = EmpiricalMeasure(atoms[keep], x[keep] / x[keep].sum(),
+                               provenance="equilibrium")
     return EquilibriumResult(measure=measure, energy=e,
                              capacity=capacity_from_energy(e),
-                             frostman_defect=defect, converged=converged,
-                             iterations_run=it)
+                             converged=solved and np.array_equal(free, last),
+                             iterations_run=steps)
+
+
+def _conjugate_gradients(lmul, c: float, free: np.ndarray):
+    """Solve the ``free`` block of (c 11' - L) x = 1, with x = 0 off ``free``
+    and ``lmul`` the product with L.  Returns x, the steps taken, and whether
+    ||r|| <= _CG_RTOL * ||1|| held within one step per free atom."""
+    r = free.astype(float)
+    x, p, rr = np.zeros(r.size), r.copy(), float(r.sum())
+    n, stop = int(rr), _CG_RTOL ** 2 * rr
+    for k in range(n):
+        if rr <= stop:
+            return x, k, True
+        q = c * p.sum() - lmul(p)
+        q[~free] = 0.0
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rr, rr_old = float(r @ r), rr
+        p *= rr / rr_old
+        p += r
+    return x, n, rr <= stop
 
 
 @dataclass(frozen=True)
@@ -176,13 +189,11 @@ class FrostmanReport:
     passed: bool
 
 
-def frostman_check(e: EquilibriumResult, s: GridSet,
-                   tol_frostman: float = FROSTMAN_TOL_DEFAULT) -> FrostmanReport:
+def frostman_check(e: EquilibriumResult, s: GridSet) -> FrostmanReport:
     """Check the constant-potential property of ``e`` over the pixels of ``s``.
 
-    Points coinciding with atoms get the smeared self term, the same
-    quantity the solver drives flat.  Passes iff the values stay inside
-    [I - tol, I + tol].
+    Points coinciding with atoms get the smeared self term that the solver
+    holds flat.  Passes iff |U - I| <= FROSTMAN_TOL_DEFAULT on every pixel.
     """
     pts = s.masked_points()
     if pts.size == 0:
@@ -192,46 +203,42 @@ def frostman_check(e: EquilibriumResult, s: GridSet,
     hi = float(pvals.max() - e.energy)
     return FrostmanReport(min_on_set=lo, max_on_set=hi,
                           lower_bound_defect=max(0.0, -lo),
-                          passed=(lo >= -tol_frostman and hi <= tol_frostman))
+                          passed=(lo >= -FROSTMAN_TOL_DEFAULT
+                                  and hi <= FROSTMAN_TOL_DEFAULT))
 
 
 # ---------------------------------------------------------------------------
 # Support rasterization and reference measures
 
 
-def support_gridset(spec: MeasureSpec, resolution: int = 512,
-                    rect: Rectangle | None = None) -> GridSet:
+def support_gridset(spec: MeasureSpec, resolution: int = 512) -> GridSet:
     """Pixel mask of the support of ``spec`` on an auto-padded rectangle."""
-    if rect is None:
-        xmin, xmax, ymin, ymax = spec.bounding_box()
-        span = max(xmax - xmin, ymax - ymin, 1.0)
-        pad = 0.35 * span
-        rect = Rectangle(xmin - pad, xmax + pad, ymin - pad, ymax + pad)
+    xmin, xmax, ymin, ymax = spec.bounding_box()
+    span = max(xmax - xmin, ymax - ymin, 1.0)
+    pad = 0.35 * span
+    rect = Rectangle(xmin - pad, xmax + pad, ymin - pad, ymax + pad)
     return spec.support_set(rect, resolution, resolution)
 
 
-def reference_equilibrium(spec: MeasureSpec, n_atoms: int = 2048,
-                          resolution: int = 512) -> EquilibriumResult:
+def reference_equilibrium(spec: MeasureSpec,
+                          n_atoms: int = 2048) -> EquilibriumResult:
     """Equilibrium measure of the support of ``spec.non_polar()``.
 
     Polar pieces (atoms) carry no equilibrium mass, so they are dropped.
     A kind that knows its closed form gives ``n_atoms`` atoms and the exact
-    capacity, with the Frostman defect measured against the default band;
-    every other support goes through the grid solver on its rasterization.
+    capacity; every other support goes through the grid solver on its
+    512-pixel rasterization.
     """
     support = spec.non_polar()
     if support is None:
         raise ValueError("a polar support has no equilibrium measure")
     closed = support.closed_form_equilibrium(n_atoms)
     if closed is None:
-        return equilibrium_measure(support_gridset(support, resolution=resolution))
+        return equilibrium_measure(support_gridset(support))
     points, weights, capacity = closed
     measure = EmpiricalMeasure(points, weights, provenance="equilibrium")
-    e = math.log(capacity)
-    pvals = _regularized_potential(measure, points)
-    defect = float(np.abs(pvals - e).max()) - SPREAD_TOL_DEFAULT
-    return EquilibriumResult(measure=measure, energy=e, capacity=capacity,
-                             frostman_defect=defect, converged=True,
+    return EquilibriumResult(measure=measure, energy=math.log(capacity),
+                             capacity=capacity, converged=True,
                              iterations_run=0)
 
 
@@ -240,12 +247,6 @@ def equilibrium_to_files(e: EquilibriumResult, base: str | Path,
     """Write <base>.csv (atoms) and <base>.json (summary)."""
     base = Path(base)
     empirical_to_csv(e.measure, base.with_suffix(".csv"), header_comment)
-    summary = {
-        "energy": e.energy,
-        "capacity": e.capacity,
-        "frostman_defect": e.frostman_defect,
-        "converged": e.converged,
-        "iterations_run": e.iterations_run,
-        "atom_count": int(e.measure.size),
-    }
-    write_json(base.with_suffix(".json"), summary)
+    write_json(base.with_suffix(".json"), {
+        "energy": e.energy, "capacity": e.capacity, "converged": e.converged,
+        "iterations_run": e.iterations_run, "atom_count": int(e.measure.size)})

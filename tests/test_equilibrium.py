@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from brolinlab import equilibrium
 from brolinlab.equilibrium import (EquilibriumResult, _regularized_potential,
                                    equilibrium_measure, equilibrium_to_files,
                                    filled_hull, frostman_check,
-                                   reference_equilibrium, support_gridset)
+                                   outer_boundary_mask, reference_equilibrium,
+                                   support_gridset)
 from brolinlab.grids import (GridSet, Rectangle, rasterize_disk,
                              rasterize_rectangle_outline)
 from brolinlab.measures import EmpiricalMeasure, MeasureSpec, energy, potential
@@ -112,6 +114,9 @@ def test_square_equilibrium_is_frostman_flat(square_result_512):
     assert rep.passed
     assert rep.max_on_set <= 0.02
     assert rep.lower_bound_defect <= 0.02
+    # the discrete problem is solved exactly: flat to rounding on the atoms
+    lo, hi = potential_band(e, e.measure.points)
+    assert max(-lo, hi) <= 1e-10
 
 
 def test_uniform_boundary_weights_fail_frostman(square_result_512):
@@ -120,8 +125,7 @@ def test_uniform_boundary_weights_fail_frostman(square_result_512):
     uniform = EmpiricalMeasure(atoms, np.full(atoms.size, 1.0 / atoms.size))
     i = energy(uniform)
     fake = EquilibriumResult(measure=uniform, energy=i, capacity=math.exp(i),
-                             frostman_defect=0.0, converged=True,
-                             iterations_run=0)
+                             converged=True, iterations_run=0)
     rep = frostman_check(fake, gs)
     assert not rep.passed
     assert rep.max_on_set > 0.05
@@ -140,13 +144,18 @@ def test_solver_capacity_is_dilation_covariant():
     small = equilibrium_measure(square_hull(1.0, 256))
     big = equilibrium_measure(square_hull(2.0, 256))
     assert big.capacity == pytest.approx(2.0 * small.capacity, rel=1e-12)
+    # here I = log(59.2) > 2, so no fixed shift c = 2 keeps c 11' - L definite
+    huge = equilibrium_measure(square_hull(100.0, 256))
+    assert huge.capacity == pytest.approx(100.0 * small.capacity, rel=1e-12)
 
 
 def test_solver_keeps_every_weight_positive_on_a_slit_disk():
     # The unit disk with a slit two pixel rows wide from the centre to the
-    # rim.  The slit has no area, so the capacity stays 1; its two edges are
-    # boundary atoms that carry almost no mass (min weight ~4.5e-6), where an
-    # unconstrained linear solve of the same discrete problem goes negative.
+    # rim.  The slit has no area, so the capacity stays 1, and the set lies
+    # inside the unit disk, so it cannot exceed 1.  An unconstrained solve of
+    # the discrete problem puts negative mass on the slit's edges; the solver
+    # drops those boundary atoms, so the measure holds only positive weights,
+    # and the potential at each dropped atom stays at or below I.
     rect = Rectangle(-2.0, 2.0, -2.0, 2.0)
     disk = rasterize_disk(0j, 1.0, rect, 256, 256)
     z = disk.pixel_centers()
@@ -157,12 +166,24 @@ def test_solver_keeps_every_weight_positive_on_a_slit_disk():
     assert frostman_check(e, gs).passed
     assert np.all(e.measure.weights > 0)
     assert abs(e.capacity - 1.0) <= 0.02
+    assert e.capacity <= 1.0
+    hull = filled_hull(gs)
+    boundary = hull.pixel_centers()[outer_boundary_mask(hull)]
+    dropped = boundary[~np.isin(boundary, e.measure.points)]
+    assert dropped.size + e.measure.size == boundary.size
+    assert dropped.size > 0
+    assert np.all(potential(e.measure, dropped) <= e.energy)
 
 
-def test_exhausted_iteration_budget_reports_no_convergence():
-    e = equilibrium_measure(square_hull(2.0, 128), iterations=3)
+def test_exhausted_iteration_budget_reports_no_convergence(monkeypatch):
+    # with a zero residual target conjugate gradients run to their cap of
+    # one step per atom and must say so
+    monkeypatch.setattr(equilibrium, "_CG_RTOL", 0.0)
+    hull = square_hull(2.0, 128)
+    nb = int(outer_boundary_mask(hull).sum())
+    e = equilibrium_measure(hull)
     assert not e.converged
-    assert e.iterations_run == 3
+    assert e.iterations_run == nb
 
 
 def test_circle_reference_potential_is_log_outside_and_flat_inside():
@@ -243,7 +264,7 @@ def test_result_consistency_is_enforced():
     m = EmpiricalMeasure(np.array([1.0 + 0j, -1.0 + 0j]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="capacity"):
         EquilibriumResult(measure=m, energy=0.0, capacity=2.0,
-                          frostman_defect=0.0, converged=True, iterations_run=0)
+                          converged=True, iterations_run=0)
 
 
 def test_equilibrium_files(tmp_path, circle_result):
