@@ -190,7 +190,7 @@ def cmd_eq(args) -> int:
 
 # experiment keys under "tolerances" and the SweepConfig fields they set
 _TOLERANCE_FIELDS = {"gamma_root": "tol_gamma", "capacity": "tol_capacity",
-                     "energy": "tol_energy", "weak_convergence": "tol_weak"}
+                     "weak_convergence": "tol_weak"}
 
 
 def _sweep_config_from(cfg: dict, args) -> SweepConfig:

@@ -3,10 +3,15 @@
 For each requested degree n the sweep builds the dynamical system of the
 degree-n basis element, samples its balanced measure by backward iteration,
 and collects the diagnostics that make the convergence story checkable:
-leading-coefficient roots against the reference capacity, sampled energies,
-weak-star distances to the reference equilibrium measure on a fixed probe
-grid, escape masses of regions away from the limit set, preimage counts,
-and the zero distribution contrast.
+leading-coefficient roots against the reference capacity, weak-star
+distances to the reference equilibrium measure on a fixed probe grid,
+escape masses of regions away from the limit set, preimage counts, and the
+zero distribution contrast.
+
+The samples are checked against an exact answer: omega_n is the equilibrium
+measure of the filled Julia set K_n (Brolin 1965), so its potential is
+g_n + log cap K_n (Ransford, Potential Theory in the Complex Plane, 1995),
+with g_n the Green function of the basin of infinity.
 """
 
 from __future__ import annotations
@@ -20,18 +25,27 @@ from pathlib import Path
 
 import numpy as np
 
+from . import measures
 from ._io import read_json, write_csv, write_json
 from ._seeds import derive_seed
-from .dynamics import (PolyDyn, brolin_sample, capacity_julia, poly_roots,
-                       preimages)
+from .dynamics import (PolyDyn, brolin_sample, capacity_julia, green_value,
+                       poly_roots, preimages)
 from .equilibrium import filled_hull, reference_equilibrium, support_gridset
 from .grids import GridField, GridSet, rasterize_disk
-from .measures import (EmpiricalMeasure, MeasureSpec, PrecisionExhaustedError,
-                       _log_distances, _squared_distances, _tiles,
-                       default_node_count, energy, make_quadrature, potential)
+from .measures import (_TILE, EmpiricalMeasure, MeasureSpec,
+                       PrecisionExhaustedError, _log_distances, _tiles,
+                       default_node_count, make_quadrature)
 from .orthopoly import OrthoBasis, orthonormal_basis
 
+energy = measures.energy  # bench/tracer.py wraps this name
+
 PROBE_EXCLUSION = 1e-9
+# Bound on sampler_z: the two-sided Bonferroni bound at family-wise error
+# 1e-3 over 104 probes (two rings of 48 and the interior ring of 8) times 64
+# degrees (the CLI's maximum), Phi^-1(1 - 1e-3 / (2 * 104 * 64)) = 5.252.
+# An iid sampler of omega_n exceeds it at some probe of some degree with
+# probability at most 1e-3.
+SAMPLER_K = 5.25
 DEFAULT_DEGREES = tuple(range(2, 17))
 DEFAULT_SAMPLES = 10_000
 
@@ -56,30 +70,37 @@ def weak_star_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure,
     Probes must avoid both supports and the probe window must enclose them;
     violations raise :class:`HypothesisViolation`.
     """
-    probes = np.asarray(probes, dtype=complex).ravel()
-    if probes.size == 0:
-        raise HypothesisViolation("empty probe set")
-    _check_probes(probes, m1.points)
-    _check_probes(probes, m2.points)
-    d1 = potential(m1, probes)
-    d2 = potential(m2, probes)
-    return float(np.abs(np.asarray(d1) - np.asarray(d2)).max())
+    u1, _ = _probe_logs(m1, probes)
+    u2, _ = _probe_logs(m2, probes)
+    return float(np.abs(u1 - u2).max())
 
 
 def weak_star_distance_se(m: EmpiricalMeasure, probes: np.ndarray) -> float:
     """Sampling-noise surrogate: max over probes of the weighted standard
     error of log|probe - X|."""
+    return float(_probe_logs(m, probes)[1].max())
+
+
+def _probe_logs(m: EmpiricalMeasure, probes) -> tuple[np.ndarray, np.ndarray]:
+    """Potential of ``m`` at each probe (the weighted mean of log|probe - X|)
+    and its iid standard error, from one pass over the logs that also makes
+    the probe checks of :func:`weak_star_distance`."""
     probes = np.asarray(probes, dtype=complex).ravel()
+    if probes.size == 0:
+        raise HypothesisViolation("empty probe set")
+    _check_probes(probes, m.points)
     w = m.weights
-    n_eff = 1.0 / float(w @ w)
-    worst = 0.0
-    for _, logs in _tiles(_log_distances, probes, m.points):
-        mean = logs @ w
-        logs -= mean[:, None]
+    mean = np.empty(probes.size)
+    var = np.empty(probes.size)
+    for start, logs in _tiles(_log_distances, probes, m.points):
+        if logs.min() < math.log(PROBE_EXCLUSION):
+            raise HypothesisViolation("a probe point touches a support atom")
+        mean[start:start + _TILE] = tile_mean = logs @ w
+        logs -= tile_mean[:, None]
         np.multiply(logs, logs, out=logs)
-        var = float((logs @ w).max())
-        worst = max(worst, math.sqrt(max(var, 0.0) / n_eff))
-    return worst
+        var[start:start + _TILE] = logs @ w
+    n_eff = 1.0 / float(w @ w)
+    return mean, np.sqrt(np.maximum(var, 0.0) / n_eff)
 
 
 def _check_probes(probes: np.ndarray, atoms: np.ndarray) -> None:
@@ -87,9 +108,6 @@ def _check_probes(probes: np.ndarray, atoms: np.ndarray) -> None:
     window = np.abs(probes - c0).max()
     if np.abs(atoms - c0).max() > window * (1 + 1e-9):
         raise HypothesisViolation("support is not enclosed by the probe window")
-    for _, d2 in _tiles(_squared_distances, probes, atoms):
-        if d2.min() < PROBE_EXCLUSION ** 2:
-            raise HypothesisViolation("a probe point touches a support atom")
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +195,8 @@ class SweepConfig:
     threads: int = 1
     tol_gamma: float = 0.05
     tol_capacity: float = 0.05
-    tol_energy: float = 0.05
     tol_weak: float = 0.05
-    require: tuple[str, ...] = ("gamma_root", "capacity", "energy",
+    require: tuple[str, ...] = ("gamma_root", "capacity", "sampler",
                                 "weak_convergence", "containment")
 
     def to_dict(self) -> dict:
@@ -192,7 +209,7 @@ class SweepConfig:
         return out
 
 
-VERDICT_NAMES = ("gamma_root", "capacity", "energy", "weak_convergence",
+VERDICT_NAMES = ("gamma_root", "capacity", "sampler", "weak_convergence",
                  "containment")
 
 # (ConvergenceReport field, report.csv column) of each per-degree sequence,
@@ -200,8 +217,7 @@ VERDICT_NAMES = ("gamma_root", "capacity", "energy", "weak_convergence",
 PER_DEGREE_FIELDS = (
     ("gamma_roots", "gamma_root"),
     ("cap_julia", "cap_julia"),
-    ("sample_energies", "sample_energy"),
-    ("sample_energy_ses", "sample_energy_se"),
+    ("sampler_z", "sampler_z"),
     ("weak_distances", "weak_distance"),
     ("weak_distance_ses", "weak_distance_se"),
     ("masses_in_v", "mass_in_v"),
@@ -218,16 +234,15 @@ class ConvergenceReport:
 
     All sequences are indexed by ``degrees``; entries are None for degrees
     whose stage failed (the failure message is kept in ``failures``).
-    sample_energies estimate log cap_julia independently, from the sampled
-    measures.
+    sampler_z is the largest gap over the probes, in standard errors, between
+    the sampled potential and omega_n's exact one, g_n + log cap_julia.
     """
 
     label: str
     degrees: list[int]
     gamma_roots: list[float]
     cap_julia: list[float]
-    sample_energies: list[float | None]
-    sample_energy_ses: list[float | None]
+    sampler_z: list[float | None]
     weak_distances: list[float | None]
     weak_distance_ses: list[float | None]
     masses_in_v: list[float | None]
@@ -266,8 +281,10 @@ def report_to_json(report: ConvergenceReport, path: str | Path) -> None:
 
 def report_from_json(path: str | Path) -> ConvergenceReport:
     data = read_json(path)
-    for old in ("identity_max_dev", "cap_nth_root", "energies"):
+    for old in ("identity_max_dev", "cap_nth_root", "energies",
+                "sample_energies", "sample_energy_ses"):
         data.pop(old, None)  # fields of reports from older versions
+    data.setdefault("sampler_z", [None] * len(data["degrees"]))
     data["failures"] = {int(k): v for k, v in data.get("failures", {}).items()}
     return ConvergenceReport(**data)
 
@@ -307,32 +324,25 @@ def _trend_ok(errors, ses, tol) -> bool:
     return True
 
 
-def regularity_report(degrees, gamma_roots, cap_julia, sample_energies,
-                      sample_energy_ses, reference_capacity,
-                      tol_gamma=0.05, tol_capacity=0.05, tol_energy=0.05) -> dict:
-    """Three-clause regularity verdict against a reference capacity.
+def regularity_report(degrees, gamma_roots, cap_julia, reference_capacity,
+                      tol_gamma=0.05, tol_capacity=0.05) -> dict:
+    """Two-clause regularity verdict against a reference capacity.
 
     Clause 1: gamma_n^(1/n) -> 1/Cap;  clause 2: the filled-set capacities
-    |gamma_n|^(-1/(n-1)) -> Cap;  clause 3: sampled energies -> log Cap.
-    Each clause demands its final value within tolerance and no rise over
-    the last three degrees beyond two standard errors.
+    |gamma_n|^(-1/(n-1)) -> Cap.  Each clause demands its final relative
+    error within tolerance and no rise over the last three degrees.
     """
     inv_cap = 1.0 / reference_capacity
-    log_cap = math.log(reference_capacity)
     gamma_errors = [None if g is None else abs(g - inv_cap) * reference_capacity
                     for g in gamma_roots]
     cap_errors = [None if c is None else abs(c - reference_capacity) / reference_capacity
                   for c in cap_julia]
-    energy_errors = [None if e is None else abs(e - log_cap)
-                     for e in sample_energies]
     zeros = [0.0] * len(degrees)
     return {
         "gamma_root": _trend_ok(gamma_errors, zeros, tol_gamma),
         "capacity": _trend_ok(cap_errors, zeros, tol_capacity),
-        "energy": _trend_ok(energy_errors, sample_energy_ses, tol_energy),
         "gamma_errors": gamma_errors,
         "capacity_errors": cap_errors,
-        "energy_errors": energy_errors,
     }
 
 
@@ -416,6 +426,7 @@ def run_sweep(spec: MeasureSpec, degrees=None,
     if ring is not None:
         probes.append(probe_ring(*ring, 8))
     probe_points = np.concatenate(probes)
+    u_ref, _ = _probe_logs(ref.measure, probe_points)
 
     preimage_targets = np.concatenate([
         probe_ring(0j, 0.95 * r_contain, config.preimage_probe_count // 2),
@@ -435,16 +446,22 @@ def run_sweep(spec: MeasureSpec, degrees=None,
         row["gamma_roots"] = float(g ** (1.0 / n))
         row["cap_julia"] = capacity_julia(p)
         try:
-            row["sample_energies"], row["sample_energy_ses"] = _sampled_energy(omega)
-            row["weak_distances"] = weak_star_distance(omega, ref.measure, probe_points)
-            row["weak_distance_ses"] = weak_star_distance_se(omega, probe_points)
+            u, se = _probe_logs(omega, probe_points)
+            # the gap to omega_n's exact potential in SEs (inf over a zero SE)
+            gap = np.abs(u - green_value(p, probe_points)
+                         - math.log(row["cap_julia"]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                row["sampler_z"] = float(np.where(gap == 0.0, 0.0, gap / se).max())
+            row["weak_distances"] = float(np.abs(u - u_ref).max())
+            row["weak_distance_ses"] = float(se.max())
             if region is not None:
                 row["masses_in_v"], row["mass_ses"] = mass_escape(omega, region, hull)
             row["preimage_counts"] = max(
                 preimage_count(p, w, region, probe_bound=r_contain)
                 for w in preimage_targets) if region is not None else None
-            zeros = zero_distribution(basis, n, spec)
-            row["zero_distances"] = weak_star_distance(zeros, ref.measure, probe_points)
+            u_zeros, _ = _probe_logs(zero_distribution(basis, n, spec),
+                                     probe_points)
+            row["zero_distances"] = float(np.abs(u_zeros - u_ref).max())
             row["containment_max"] = float(np.abs(omega.points).max())
         except Exception as err:
             failures[n] = f"{type(err).__name__}: {err}"
@@ -458,15 +475,13 @@ def run_sweep(spec: MeasureSpec, degrees=None,
             break
 
     reg = regularity_report(degrees, seq["gamma_roots"], seq["cap_julia"],
-                            seq["sample_energies"], seq["sample_energy_ses"],
-                            cap_ref,
-                            tol_gamma=config.tol_gamma,
-                            tol_capacity=config.tol_capacity,
-                            tol_energy=config.tol_energy)
+                            cap_ref, tol_gamma=config.tol_gamma,
+                            tol_capacity=config.tol_capacity)
+    sampler_z = [z for z in seq["sampler_z"] if z is not None]
     verdicts = {
         "gamma_root": reg["gamma_root"],
         "capacity": reg["capacity"],
-        "energy": reg["energy"],
+        "sampler": bool(sampler_z) and max(sampler_z) <= SAMPLER_K,
         "weak_convergence": _trend_ok(seq["weak_distances"],
                                       seq["weak_distance_ses"], config.tol_weak),
         "containment": (cont_max[-1] is not None
@@ -491,19 +506,3 @@ def run_sweep(spec: MeasureSpec, degrees=None,
         config_hash=config_hash_of(cfg_dict),
     )
 
-
-def _sampled_energy(omega: EmpiricalMeasure, blocks: int = 8):
-    """U-statistic energy with a block standard error (contiguous stripes,
-    which across chains interleaves whole chains)."""
-    total = energy(omega)
-    n = omega.size
-    if n < 2 * blocks:
-        return total, None
-    size = n // blocks
-    vals = []
-    for b in range(blocks):
-        pts = omega.points[b * size:(b + 1) * size]
-        w = np.full(pts.size, 1.0 / pts.size)
-        vals.append(energy(EmpiricalMeasure(pts, w, provenance="custom")))
-    se = float(np.std(vals, ddof=1) / math.sqrt(blocks))
-    return total, se

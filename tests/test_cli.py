@@ -183,9 +183,10 @@ def lab_runs(tmp_path_factory):
 def test_lab_passes_and_prints_verdicts(lab_runs):
     _, first, _ = lab_runs
     assert first.returncode == EXIT_OK
-    for name in ("gamma_root", "capacity", "energy", "weak_convergence",
+    for name in ("gamma_root", "capacity", "sampler", "weak_convergence",
                  "containment"):
-        assert name in first.stdout
+        assert f"verdict {name}: pass (required)" in first.stdout
+    assert "energy" not in first.stdout
 
 
 def test_lab_reruns_byte_identically(lab_runs):
@@ -207,18 +208,33 @@ def test_report_rerenders_the_same_csv(lab_runs):
 
 
 def test_report_rerenders_an_old_format_report(lab_runs):
-    # older reports carried three more per-degree fields, each restating
-    # another one; the reader drops them
+    # older reports carried five more per-degree fields, each restating
+    # another one or replaced by sampler_z; the reader drops them
     root, _, _ = lab_runs
     data = json.loads((root / "run1" / "report.json").read_text())
     data["cap_nth_root"] = [1.0 / g for g in data["gamma_roots"]]
     data["energies"] = [math.log(c) for c in data["cap_julia"]]
     data["identity_max_dev"] = [0.0] * len(data["degrees"])
+    data["sample_energies"] = [math.log(c) for c in data["cap_julia"]]
+    data["sample_energy_ses"] = [1e-3] * len(data["degrees"])
     old = write_json(root / "old-report.json", data)
     res = run_cli("report", "--report", old, "--out", root / "render-old")
     assert res.returncode == EXIT_OK
     assert ((root / "render-old" / "report.csv").read_bytes()
             == (root / "run1" / "report.csv").read_bytes())
+    # reports from before sampler_z render it as empty cells
+    del data["sampler_z"]
+    older = write_json(root / "older-report.json", data)
+    res = run_cli("report", "--report", older, "--out", root / "render-older")
+    assert res.returncode == EXIT_OK
+    new_csv = (root / "run1" / "report.csv").read_text().splitlines()
+    column = new_csv[1].split(",").index("sampler_z")
+    rows = [line.split(",") for line in new_csv[2:]]
+    for row in rows:
+        row[column] = ""
+    expected = new_csv[:2] + [",".join(row) for row in rows]
+    assert ((root / "render-older" / "report.csv").read_text().splitlines()
+            == expected)
 
 
 def test_lab_rejects_unknown_config_keys(tmp_path):
@@ -227,6 +243,18 @@ def test_lab_rejects_unknown_config_keys(tmp_path):
     res = run_cli("lab", "--config", cfg, "--out", tmp_path / "out")
     assert res.returncode == EXIT_INVALID
     assert "probe_rings" in res.stderr
+
+
+@pytest.mark.parametrize("extra", [
+    {"require": ["gamma_root", "energy"]},
+    {"tolerances": {"energy": 0.05}},
+])
+def test_lab_rejects_the_removed_energy_verdict(tmp_path, extra):
+    cfg = write_json(tmp_path / "config.json", {**LAB_CONFIG, **extra})
+    res = run_cli("lab", "--config", cfg, "--out", tmp_path / "out")
+    assert res.returncode == EXIT_INVALID
+    assert "'energy'" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _schema_example(prop):

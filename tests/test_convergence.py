@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from brolinlab import convergence
 from brolinlab.convergence import (HypothesisViolation, SweepConfig,
                                    VERDICT_NAMES, config_hash_of,
                                    laplacian_pairing_check, mass_escape,
@@ -14,7 +15,8 @@ from brolinlab.convergence import (HypothesisViolation, SweepConfig,
                                    report_to_csv, report_to_json, run_sweep,
                                    weak_star_distance, weak_star_distance_se,
                                    zero_distribution)
-from brolinlab.dynamics import PolyDyn, brolin_sample, filled_julia_grid
+from brolinlab.dynamics import (PolyDyn, _aberth_batch, brolin_sample,
+                                filled_julia_grid)
 from brolinlab.grids import Rectangle, rasterize_disk
 from brolinlab.measures import EmpiricalMeasure, MeasureSpec, make_quadrature
 from brolinlab.orthopoly import orthonormal_basis
@@ -156,12 +158,9 @@ def test_regularity_clauses_accept_a_settling_sequence():
         degrees=[2, 3, 4],
         gamma_roots=[0.52, 0.51, 0.5008],
         cap_julia=[None, None, 2.05],
-        sample_energies=[LOG2 + 0.04, LOG2 + 0.06, LOG2 + 0.045],
-        sample_energy_ses=[0.01, 0.01, 0.01],
         reference_capacity=2.0)
     assert rep["gamma_root"] is True
     assert rep["capacity"] is True
-    assert rep["energy"] is True
     assert rep["gamma_errors"][2] == pytest.approx(0.0016)
 
 
@@ -170,13 +169,10 @@ def test_regularity_clauses_reject_rises_and_misses():
         degrees=[2, 3, 4],
         gamma_roots=[0.5008, 0.51, 0.52],
         cap_julia=[2.0, 2.0, 2.5],
-        sample_energies=[LOG2 + 0.04, LOG2 + 0.06, LOG2 + 0.045],
-        sample_energy_ses=[0.001, 0.001, 0.001],
         reference_capacity=2.0)
     assert rep["gamma_root"] is False  # error rises with no noise allowance
     assert rep["capacity"] is False    # final error 25%
-    assert rep["energy"] is False      # mid-sequence rise beyond 2 SE
-    empty = regularity_report([2], [None], [None], [None], [None], 2.0)
+    empty = regularity_report([2], [None], [None], 2.0)
     assert empty["gamma_root"] is False
 
 
@@ -212,8 +208,43 @@ def test_sweep_is_deterministic_across_thread_counts(tiny_circle_report):
     cfg = SweepConfig(seed=11, n_samples=500, threads=2)
     again = run_sweep(MeasureSpec.circle_uniform(), [2, 3], cfg)
     assert again.weak_distances == tiny_circle_report.weak_distances
-    assert again.sample_energies == tiny_circle_report.sample_energies
+    assert again.sampler_z == tiny_circle_report.sampler_z
     assert again.containment_max == tiny_circle_report.containment_max
+
+
+def _sampler_without_branch_zero(p, n_samples, seed, burn_in=50, chains=64):
+    """brolin_sample with preimage 0 never chosen: a biased chain."""
+    rng = np.random.default_rng(seed)
+    z = np.full(chains, p.radius + 0j)
+    kept = []
+    for step in range(burn_in + -(-n_samples // chains)):
+        roots = _aberth_batch(p.coeffs, z)
+        z = roots[np.arange(chains), rng.integers(1, p.degree, size=chains)]
+        if step >= burn_in:
+            kept.append(z)
+    points = np.concatenate(kept)[:n_samples]
+    return EmpiricalMeasure(points, np.full(n_samples, 1.0 / n_samples))
+
+
+def test_the_sampler_verdict_fails_on_a_biased_sampler(monkeypatch,
+                                                        tiny_circle_report):
+    assert max(tiny_circle_report.sampler_z) <= convergence.SAMPLER_K
+    monkeypatch.setattr(convergence, "brolin_sample",
+                        _sampler_without_branch_zero)
+    r = run_sweep(MeasureSpec.circle_uniform(), [2, 3],
+                  SweepConfig(seed=11, n_samples=500))
+    assert r.failures == {}
+    assert min(r.sampler_z) > convergence.SAMPLER_K
+    assert r.verdicts["sampler"] is False
+    assert r.verdicts["gamma_root"] is True
+    assert r.verdicts["capacity"] is True
+    # at degree 2 on [-1, 1] every chain follows one inverse branch to the
+    # same point: the standard error is 0 up to rounding, and the gap is not
+    flat = run_sweep(MeasureSpec.interval_density(-1.0, 1.0, "lebesgue"), [2],
+                     SweepConfig(seed=11, n_samples=500))
+    assert flat.weak_distance_ses[0] < 1e-12
+    assert flat.sampler_z[0] > convergence.SAMPLER_K
+    assert flat.verdicts["sampler"] is False
 
 
 def test_sweep_rejects_degenerate_inputs():
@@ -259,7 +290,7 @@ def test_report_csv_layout(tmp_path, tiny_circle_report):
     report_to_csv(tiny_circle_report, path, header_comment="seed=11")
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=11"
-    assert lines[1].startswith("degree,gamma_root,cap_julia,sample_energy,")
+    assert lines[1].startswith("degree,gamma_root,cap_julia,sampler_z,")
     assert len(lines) == 4
     cells = lines[2].split(",")
     header = lines[1].split(",")
